@@ -1,35 +1,32 @@
-// Micro: the generic-join expansion loop, scalar vs batched, on
-// output-heavy workloads — exactly where per-key virtual dispatch and
-// row-at-a-time materialization dominate after the CSR-trie (PR 3) and
-// plan-cache (PR 4) work. Three shapes:
+// Micro: the generic-join expansion loop on output-heavy workloads —
+// where per-key dispatch and materialization dominate. Four shapes:
 //
 //   triangle  R(A,B) x S(B,C) x T(A,C) over dense random relations —
-//             two CSR participants at the deepest level, so batching
-//             engages the devirtualized raw-array leapfrog kernel
+//             two CSR participants at the deepest level, so the raw
+//             cursor policy drains it through the SIMD kernel
+//   agm_tight the AGM-tight triangle (XJoin end to end) — skewed level
+//             cardinalities, both the gallop and merge strategies
 //   path2     R(A,B) x S(B,C) — the deepest level has one participant,
-//             so batching degenerates to bulk NextBlock block copies
+//             so it drains as bulk block copies
 //   xmark     the XMark closed-auction join (XJoin end to end, lazy
-//             path tries in the mix — scalar-leapfrog fallback plus
-//             batched materialization)
+//             path tries in the mix — the virtual cursor policy)
 //
-// Every batched run is checked byte-identical to the scalar run, with
-// identical gj.* counters, before its timing is trusted.
-//
-// A second sweep pins the SIMD dispatch override to each compiled
-// kernel table (portable scalar, SSE4.2, AVX2) and times the batched
-// engine under each on the triangle and AGM-tight workloads — the
-// scalar-vs-SIMD trajectory CI tracks as BENCH_simd.json. Every level's
-// result and gj.* counters are checked identical to the scalar table's
-// before its timing is trusted (the kernels accelerate each seek's
-// interior search, never the jump sequence).
+// The first table times each workload (best of --reps). A second sweep
+// pins the SIMD dispatch override to each compiled kernel table
+// (portable scalar, AVX2) and times the engine under each on the
+// triangle and AGM-tight workloads — the scalar-vs-SIMD trajectory CI
+// tracks as BENCH_simd.json. Every level's result and gj.* counters
+// are checked identical to the portable table's before its timing is
+// trusted (the kernels accelerate each seek's interior search, never
+// the jump sequence).
 //
 // Flags: --reps=5          best-of repetitions per measurement
 //        --n=220           triangle/path2 key domain (~n^2-row inputs)
-//        --batch=1024      result-batch capacity for the batched runs
-//        --agm-scale=64    AGM-tight instance scale for the SIMD sweep
+//        --agm-scale=64    AGM-tight instance scale
 //        --xmark-scale=32  XMark size multiplier
-//        --json=PATH       also write the scalar-vs-batched records there
+//        --json=PATH       also write the per-workload records there
 //        --simd-json=PATH  also write the dispatch-sweep records there
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -47,8 +44,7 @@ namespace {
 
 struct Record {
   std::string workload;
-  double scalar_s = 0.0;
-  double batched_s = 0.0;
+  double seconds = 0.0;
   int64_t rows = 0;
   int64_t seeks = 0;
 };
@@ -64,46 +60,36 @@ Relation MakeBinary(const char* a, const char* b, int n, int num, int den) {
   return rel;
 }
 
-void CheckEquivalent(const Relation& scalar, const Relation& batched,
-                     const Metrics& scalar_m, const Metrics& batched_m,
+void CheckEquivalent(const Relation& reference, const Relation& candidate,
+                     const Metrics& reference_m, const Metrics& candidate_m,
                      const std::string& label) {
-  XJ_CHECK(scalar.ToTuples() == batched.ToTuples())
-      << label << ": batched result diverged from scalar";
-  for (const auto& [name, value] : scalar_m.counters()) {
+  XJ_CHECK(reference.ToTuples() == candidate.ToTuples())
+      << label << ": result diverged from the portable kernel table";
+  for (const auto& [name, value] : reference_m.counters()) {
     if (name.rfind("gj.", 0) == 0) {
-      XJ_CHECK(batched_m.Get(name) == value)
-          << label << ": counter " << name << " diverged (scalar " << value
-          << ", batched " << batched_m.Get(name) << ")";
+      XJ_CHECK(candidate_m.Get(name) == value)
+          << label << ": counter " << name << " diverged (portable " << value
+          << ", dispatched " << candidate_m.Get(name) << ")";
     }
   }
 }
 
-// One measurement protocol for every workload: run scalar (batch 0)
-// and batched once, check byte-identical results and identical gj.*
-// counters before trusting any timing, then take best-of-`reps` for
-// both. `run` executes one configuration and returns (seconds, result).
-using RunFn = std::function<std::pair<double, Relation>(int, Metrics*)>;
+// Executes one run and returns (seconds, result).
+using RunFn = std::function<std::pair<double, Relation>(Metrics*)>;
 
-Record Measure(const std::string& label, const RunFn& run, int reps,
-               int batch) {
+// Best-of-`reps` timing of `run`, with the first run's row and seek
+// counts.
+Record Measure(const std::string& label, const RunFn& run, int reps) {
   Record record;
   record.workload = label;
-
-  Metrics scalar_m;
-  auto [scalar_s, scalar_rel] = run(0, &scalar_m);
-  record.scalar_s = scalar_s;
-  Metrics batched_m;
-  auto [batched_s, batched_rel] = run(batch, &batched_m);
-  record.batched_s = batched_s;
-  CheckEquivalent(scalar_rel, batched_rel, scalar_m, batched_m, label);
-  record.rows = static_cast<int64_t>(scalar_rel.num_rows());
-  record.seeks = scalar_m.Get("gj.seeks");
-
+  Metrics m;
+  auto [seconds, rel] = run(&m);
+  record.seconds = seconds;
+  record.rows = static_cast<int64_t>(rel.num_rows());
+  record.seeks = m.Get("gj.seeks");
   for (int rep = 1; rep < reps; ++rep) {
-    Metrics m;
-    record.scalar_s = std::min(record.scalar_s, run(0, &m).first);
-    Metrics mb;
-    record.batched_s = std::min(record.batched_s, run(batch, &mb).first);
+    Metrics mm;
+    record.seconds = std::min(record.seconds, run(&mm).first);
   }
   return record;
 }
@@ -111,10 +97,9 @@ Record Measure(const std::string& label, const RunFn& run, int reps,
 RunFn GenericJoinRunFn(std::vector<JoinInput> inputs,
                        std::vector<std::string> order) {
   return [inputs = std::move(inputs),
-          order = std::move(order)](int batch_size, Metrics* metrics) {
+          order = std::move(order)](Metrics* metrics) {
     GenericJoinOptions options;
     options.attribute_order = order;
-    options.batch_size = batch_size;
     options.metrics = metrics;
     Timer timer;
     auto result = GenericJoin(inputs, options);
@@ -124,15 +109,19 @@ RunFn GenericJoinRunFn(std::vector<JoinInput> inputs,
   };
 }
 
-Record BenchGenericJoin(const std::string& label,
-                        const std::vector<JoinInput>& inputs,
-                        std::vector<std::string> order, int reps, int batch) {
-  return Measure(label, GenericJoinRunFn(inputs, std::move(order)), reps,
-                 batch);
+RunFn XJoinRunFn(const MultiModelQuery& query) {
+  return [&query](Metrics* metrics) {
+    XJoinOptions options;
+    options.metrics = metrics;
+    Timer timer;
+    auto result = ExecuteXJoin(query, options);
+    double seconds = timer.ElapsedSeconds();
+    XJ_CHECK(result.ok()) << result.status().ToString();
+    return std::make_pair(seconds, *std::move(result));
+  };
 }
 
-// One dispatch-sweep measurement: the batched engine pinned to one
-// kernel table.
+// One dispatch-sweep measurement: the engine pinned to one kernel table.
 struct SimdRecord {
   std::string workload;
   std::string dispatch;
@@ -141,17 +130,16 @@ struct SimdRecord {
   int64_t seeks = 0;
 };
 
-// Times `run` batched under every kernel table that is both compiled in
-// and runnable on this host, checking each level's result and counters
-// against the scalar table's run first.
+// Times `run` under every kernel table that is both compiled in and
+// runnable on this host, checking each level's result and counters
+// against the portable table's run first.
 void SweepDispatch(const std::string& label, const RunFn& run, int reps,
-                   int batch, std::vector<SimdRecord>* out) {
+                   std::vector<SimdRecord>* out) {
   SetSimdDispatchOverride(SimdLevel::kScalar);
   Metrics scalar_m;
-  auto [scalar_s, scalar_rel] = run(batch, &scalar_m);
+  auto [scalar_s, scalar_rel] = run(&scalar_m);
   ClearSimdDispatchOverride();
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     if (IntersectKernelFor(level) == nullptr) continue;  // not compiled in
     if (level > DetectedSimdLevel()) continue;           // not runnable here
     SetSimdDispatchOverride(level);
@@ -159,7 +147,7 @@ void SweepDispatch(const std::string& label, const RunFn& run, int reps,
     record.workload = label;
     record.dispatch = SimdLevelName(level);
     Metrics m;
-    auto [seconds, rel] = run(batch, &m);
+    auto [seconds, rel] = run(&m);
     CheckEquivalent(scalar_rel, rel, scalar_m, m,
                     label + "@" + record.dispatch);
     record.seconds = level == SimdLevel::kScalar
@@ -169,46 +157,22 @@ void SweepDispatch(const std::string& label, const RunFn& run, int reps,
     record.seeks = m.Get("gj.seeks");
     for (int rep = 1; rep < reps; ++rep) {
       Metrics mm;
-      record.seconds = std::min(record.seconds, run(batch, &mm).first);
+      record.seconds = std::min(record.seconds, run(&mm).first);
     }
     ClearSimdDispatchOverride();
     out->push_back(record);
   }
 }
 
-Record BenchXMark(int64_t scale, int reps, int batch) {
-  XMarkOptions opts;
-  opts.num_items = 200 * scale;
-  opts.num_persons = 100 * scale;
-  opts.num_open_auctions = 120 * scale;
-  opts.num_closed_auctions = 100 * scale;
-  XMarkInstance inst = MakeXMark(opts);
-  MultiModelQuery query = inst.ClosedAuctionQuery();
-  return Measure(
-      "xmark.closed_auction",
-      [&](int batch_size, Metrics* metrics) {
-        XJoinOptions options;
-        options.batch_size = batch_size;
-        options.metrics = metrics;
-        Timer timer;
-        auto result = ExecuteXJoin(query, options);
-        double seconds = timer.ElapsedSeconds();
-        XJ_CHECK(result.ok()) << result.status().ToString();
-        return std::make_pair(seconds, *std::move(result));
-      },
-      reps, batch);
-}
-
 void Run(int argc, char** argv) {
   const int reps = static_cast<int>(IntFlag(argc, argv, "reps", 5));
   const int n = static_cast<int>(IntFlag(argc, argv, "n", 220));
-  const int batch = static_cast<int>(IntFlag(argc, argv, "batch", 1024));
   const int agm_scale = static_cast<int>(IntFlag(argc, argv, "agm-scale", 64));
   const int64_t xmark_scale = IntFlag(argc, argv, "xmark-scale", 32);
   const char* json_path = FlagValue(argc, argv, "json");
   const char* simd_json_path = FlagValue(argc, argv, "simd-json");
 
-  Banner("Generic join: scalar vs batched kernel (output-heavy mix)");
+  Banner("Generic join: expansion loop (output-heavy mix)");
 
   std::vector<Record> records;
   std::vector<SimdRecord> simd_records;
@@ -228,8 +192,8 @@ void Run(int argc, char** argv) {
                                   {"S", {"B", "C"}, is.get()},
                                   {"T", {"A", "C"}, it.get()}};
     RunFn run = GenericJoinRunFn(inputs, {"A", "B", "C"});
-    records.push_back(Measure("triangle", run, reps, batch));
-    SweepDispatch("triangle", run, reps, batch, &simd_records);
+    records.push_back(Measure("triangle", run, reps));
+    SweepDispatch("triangle", run, reps, &simd_records);
   }
 
   {
@@ -244,22 +208,14 @@ void Run(int argc, char** argv) {
       query.relations.push_back(
           {"R" + std::to_string(i + 1), inst->relations[i].get()});
     }
-    RunFn run = [&query](int batch_size, Metrics* metrics) {
-      XJoinOptions options;
-      options.batch_size = batch_size;
-      options.metrics = metrics;
-      Timer timer;
-      auto result = ExecuteXJoin(query, options);
-      double seconds = timer.ElapsedSeconds();
-      XJ_CHECK(result.ok()) << result.status().ToString();
-      return std::make_pair(seconds, *std::move(result));
-    };
-    SweepDispatch("agm_tight", run, reps, batch, &simd_records);
+    RunFn run = XJoinRunFn(query);
+    records.push_back(Measure("agm_tight", run, reps));
+    SweepDispatch("agm_tight", run, reps, &simd_records);
   }
 
   {
-    // Two-hop path: the C level is covered by S alone, so the batched
-    // engine drains it with bulk block copies.
+    // Two-hop path: the C level is covered by S alone, so it drains
+    // with bulk block copies.
     Relation r = MakeBinary("A", "B", n, 3, 3);
     Relation s = MakeBinary("B", "C", n, 5, 3);
     auto tr = RelationTrie::Build(r, {"A", "B"});
@@ -269,31 +225,36 @@ void Run(int argc, char** argv) {
     std::vector<JoinInput> inputs{{"R", {"A", "B"}, ir.get()},
                                   {"S", {"B", "C"}, is.get()}};
     records.push_back(
-        BenchGenericJoin("path2", inputs, {"A", "B", "C"}, reps, batch));
+        Measure("path2", GenericJoinRunFn(inputs, {"A", "B", "C"}), reps));
   }
 
-  records.push_back(BenchXMark(xmark_scale, reps, batch));
+  {
+    XMarkOptions opts;
+    opts.num_items = 200 * xmark_scale;
+    opts.num_persons = 100 * xmark_scale;
+    opts.num_open_auctions = 120 * xmark_scale;
+    opts.num_closed_auctions = 100 * xmark_scale;
+    XMarkInstance inst = MakeXMark(opts);
+    MultiModelQuery query = inst.ClosedAuctionQuery();
+    records.push_back(Measure("xmark.closed_auction", XJoinRunFn(query), reps));
+  }
 
-  Table table({"workload", "scalar", "batched", "speedup", "|Q|", "seeks"});
+  Table table({"workload", "seconds", "|Q|", "seeks"});
   JsonArrayWriter json;
   for (const Record& r : records) {
-    double speedup = r.batched_s > 0 ? r.scalar_s / r.batched_s : 0.0;
-    table.AddRow({r.workload, FmtSeconds(r.scalar_s), FmtSeconds(r.batched_s),
-                  FmtF(speedup, 2) + "x", FmtInt(r.rows), FmtInt(r.seeks)});
+    table.AddRow({r.workload, FmtSeconds(r.seconds), FmtInt(r.rows),
+                  FmtInt(r.seeks)});
     json.BeginObject()
         .Field("bench", "bench_micro_gj")
         .Field("workload", r.workload)
-        .Field("batch_size", batch)
-        .Field("scalar_s", r.scalar_s, 6)
-        .Field("batched_s", r.batched_s, 6)
-        .Field("speedup", speedup, 3)
+        .Field("batched_s", r.seconds, 6)
         .Field("rows", r.rows)
         .Field("seeks", r.seeks);
   }
   table.Print();
   json.Emit(json_path);
 
-  Banner("SIMD dispatch sweep: batched engine per kernel table");
+  Banner("SIMD dispatch sweep: engine per kernel table");
 
   Table simd_table(
       {"workload", "dispatch", "seconds", "vs scalar", "|Q|", "seeks"});
@@ -312,7 +273,6 @@ void Run(int argc, char** argv) {
         .Field("bench", "bench_micro_gj.simd")
         .Field("workload", r.workload)
         .Field("dispatch", r.dispatch)
-        .Field("batch_size", batch)
         .Field("seconds", r.seconds, 6)
         .Field("speedup_vs_scalar",
                r.seconds > 0 ? scalar_s / r.seconds : 0.0, 3)

@@ -202,7 +202,7 @@ class JsonArrayWriter {
   /// Starts the next object in the array. Finish one object's fields
   /// before beginning the next. Every row is stamped with the SIMD
   /// kernel the dispatch ladder resolves to on this host at emission
-  /// time ("scalar" / "sse42" / "avx2"), so perf trajectories across CI
+  /// time ("scalar" / "avx2"), so perf trajectories across CI
   /// runs are attributable to the code path that actually executed.
   Object BeginObject() {
     body_ += body_.empty() ? "\n  {" : "},\n  {";

@@ -27,8 +27,9 @@
 //                         the pool report queue-full regardless of
 //                         actual depth)
 //   gj.morsel             per-shard morsel hand-off inside the sharded
-//                         driver's ParallelFor body (a hit drops that
-//                         shard's work; the query fails kInternal)
+//                         driver's Executor::ParallelFor body (a hit
+//                         drops that shard's work; the query fails
+//                         kInternal)
 //   gj.result_merge       before shard results merge into the final
 //                         relation (a hit fails the query kInternal)
 //   net.accept            before the server accepts a pending

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "common/fault.h"
@@ -17,6 +16,7 @@ namespace xjoin {
 
 bool LeapfrogAlign(const std::vector<TrieIterator*>& iters, int64_t* seeks) {
   if (iters.empty()) return false;
+  if (iters.size() == 1) return !iters[0]->AtEnd();
   for (TrieIterator* it : iters) {
     if (it->AtEnd()) return false;
   }
@@ -70,92 +70,70 @@ struct PrefixRange {
   int64_t hi[2] = {0, 0};  // exclusive lexicographic upper bound
 };
 
-// The devirtualized leapfrog primitives over raw CSR key arrays —
-// gallop/align/advance with exact scalar seek accounting — live in the
-// runtime-dispatched SIMD kernel tables (relational/intersect_kernels.h);
-// the engine resolves ActiveIntersectKernel() once per run and drives
-// the same jump sequence through whichever table the CPU supports, so
-// "gj.seeks" and result bytes match the scalar engine count for count.
-
 // The iterative (explicit-stack) expansion loop of Algorithm 1 over one
-// key range. All mutable state lives in this object, so one Engine per
-// shard over Clone()d iterators is data-race-free by construction. The
-// engine only accumulates raw counters; the driver merges and publishes
-// them, which keeps serial and sharded metric output consistent.
+// key range. The loop is written once (Expand) as a template over a
+// level-cursor policy:
+//   * RawCursors, when every input exposes its whole trie as raw CSR
+//     arrays (RawTrieSpans): explicit frame stacks navigated through the
+//     child_begin arrays, leapfrog seeks through the runtime-dispatched
+//     SIMD kernel (relational/intersect_kernels.h), no virtual calls;
+//   * VirtualCursors otherwise: the TrieIterator protocol, so lazy path
+//     tries and delta-merging tries join through the same loop.
+// The loop owns everything both policies share: budget and cancel
+// ticking, the shard lo/hi cuts at depths 0 and 1, bind / filter /
+// descend / backtrack, and the deepest-level drains, which stage every
+// binding in a columnar ResultBatch flushed in blocks. A policy supplies
+// only its cursor primitives (open with lead swap, align/advance, key,
+// close, and bulk key runs), each counting exactly the seeks the
+// virtual leapfrog would, so results and every counter are independent
+// of the policy and of the SIMD dispatch level.
 //
-// batch_size > 0 switches to block-at-a-time execution (see
-// GenericJoinOptions::batch_size): every binding is staged in a
-// columnar ResultBatch and flushed in blocks. When every input exposes
-// its whole trie as raw CSR arrays (RawTrieSpans), the entire
-// expansion — all levels, not just the deepest — runs through the
-// full-depth raw executor (RunRaw below): explicit frame stacks
-// navigated through the child_begin arrays, leapfrog seeks through the
-// runtime-dispatched SIMD kernel, zero virtual dispatch anywhere.
-// Otherwise the virtual-protocol loop runs, with the deepest level
-// still drained through NextBlock bulk copies or the SIMD kernel when
-// its participants allow it. All counters are maintained exactly as in
-// the scalar path in every mode.
+// All mutable state lives in the Engine and its policy, so one Engine
+// per shard over Clone()d iterators is data-race-free by construction.
+// The engine only accumulates raw counters; the driver merges and
+// publishes them, which keeps serial and sharded metric output
+// consistent.
 class Engine {
  public:
   Engine(const std::vector<JoinInput>& inputs,
          const std::vector<LevelPlan>& plan, const PrefixFilter& filter,
-         Metrics* filter_metrics, Relation* out, int batch_size = 0,
-         BudgetTracker* budget = nullptr)
-      : filter_(filter),
+         Metrics* filter_metrics, Relation* out, BudgetTracker* budget)
+      : inputs_(inputs),
+        plan_(plan),
+        filter_(filter),
         filter_metrics_(filter_metrics),
         out_(out),
         budget_(budget != nullptr && budget->limited() ? budget : nullptr),
         count_cancel_(budget_ != nullptr && budget_->has_cancel()),
         row_bytes_(static_cast<int64_t>(plan.size()) * 8),
         prefix_(plan.size(), 0),
-        level_totals_(plan.size(), 0) {
-    level_iters_.resize(plan.size());
-    for (size_t d = 0; d < plan.size(); ++d) {
-      level_iters_[d].reserve(plan[d].participants.size());
-      for (size_t i : plan[d].participants) {
-        level_iters_[d].push_back(inputs[i].iterator);
-      }
-    }
-    kernel_ = &ActiveIntersectKernel();
-    if (batch_size > 0 && !plan.empty()) {
-      batch_.emplace(plan.size(), static_cast<size_t>(batch_size));
-      block_.emplace(static_cast<size_t>(batch_size));
-      kernel_buf_.resize(static_cast<size_t>(batch_size));
-      // Full-depth raw mode engages only when every input is a plain
-      // delta-free CSR trie; a lazy path trie or a pending delta
-      // side-file anywhere sends the run down the virtual loop.
-      raw_mode_ = true;
-      raw_inputs_.resize(inputs.size());
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        if (!inputs[i].iterator->RawTrieSpans(&raw_inputs_[i].view)) {
-          raw_mode_ = false;
-          break;
-        }
-        raw_inputs_[i].frames.reserve(raw_inputs_[i].view.levels.size());
-      }
-      if (raw_mode_) {
-        raw_levels_.resize(plan.size());
-        raw_strategy_.assign(plan.size(), IntersectStrategy::kGallop);
-        std::vector<size_t> next_local(inputs.size(), 0);
-        for (size_t d = 0; d < plan.size(); ++d) {
-          raw_levels_[d].reserve(plan[d].participants.size());
-          for (size_t i : plan[d].participants) {
-            raw_levels_[d].push_back(RawRef{i, next_local[i]++});
-          }
-        }
-      } else {
-        raw_inputs_.clear();
-      }
-    }
-  }
+        level_totals_(plan.size(), 0),
+        batch_(plan.size(), kBlock),
+        kernel_(&ActiveIntersectKernel()),
+        kernel_buf_(kBlock) {}
 
   void Run(const PrefixRange& range) {
-    if (raw_mode_) {
-      RunRaw(range);
-      batch_->Flush(out_);
-      return;
+    RawCursors raw(this);
+    if (raw.Attach()) {
+      Expand(raw, range);
+    } else {
+      VirtualCursors virt(this);
+      Expand(virt, range);
     }
-    const size_t num_levels = level_iters_.size();
+    batch_.Flush(out_);
+  }
+
+  const std::vector<int64_t>& level_totals() const { return level_totals_; }
+  int64_t seeks() const { return seeks_; }
+  int64_t total_intermediate() const { return total_intermediate_; }
+  int64_t cancel_checks() const { return cancel_checks_; }
+
+ private:
+  static constexpr size_t kBlock = kDefaultResultBatchCapacity;
+
+  template <typename Cursors>
+  void Expand(Cursors& cursors, const PrefixRange& range) {
+    const size_t num_levels = plan_.size();
     size_t depth = 0;
     bool entering = true;
     for (;;) {
@@ -163,7 +141,7 @@ class Engine {
       // shared violation flag — which also observes any attached
       // cancellation tokens — every binding so all shards abort fast.
       // Partial output is discarded by the driver, so an early break
-      // needs no iterator cleanup.
+      // needs no cursor cleanup.
       if (budget_ != nullptr) {
         if ((++budget_ticks_ & 4095) == 0) {
           budget_->CheckDeadline();
@@ -174,31 +152,42 @@ class Engine {
         if (count_cancel_) ++cancel_checks_;
         if (budget_->violated()) break;
       }
-      std::vector<TrieIterator*>& iters = level_iters_[depth];
       bool have;
       if (entering) {
-        OpenLevel(iters, depth, range);
+        // Open every participant, lead with the one holding the fewest
+        // remaining keys (advancing steps the lead, so the smallest
+        // level drives the intersection), and skip straight to the
+        // shard's lexicographic lower bound.
+        cursors.Open(depth);
+        if (range.has_lo) {
+          if (depth == 0) {
+            cursors.SkipTo(depth, range.lo[0]);
+          } else if (depth == 1 && range.depth == 2 &&
+                     prefix_[0] == range.lo[0]) {
+            cursors.SkipTo(depth, range.lo[1]);
+          }
+        }
         if (depth == 0) {
-          // Pre-size the output columns from the level-0 key estimate —
+          // Pre-size the output columns from the lead's remaining keys —
           // a free O(1) scale signal — capped so selective joins don't
           // over-allocate (growth past the reserve stays geometric).
           constexpr int64_t kMaxReserveRows = int64_t{1} << 16;
           out_->Reserve(static_cast<size_t>(std::clamp<int64_t>(
-              iters[0]->EstimateKeys(), 0, kMaxReserveRows)));
+              cursors.LeadEstimate(depth), 0, kMaxReserveRows)));
         }
-        if (batch_.has_value() && depth + 1 == num_levels) {
-          // Batched mode: one kernel call drains the whole deepest
-          // level for this prefix, then backtracks.
-          RunDeepestLevel(iters, depth, range);
-          for (TrieIterator* it : iters) it->Up();
+        if (depth + 1 == num_levels) {
+          // The deepest level drains whole for this prefix, then
+          // backtracks.
+          DrainDeepest(cursors, depth, range);
+          cursors.Close(depth);
           if (depth == 0) break;
           --depth;
           entering = false;
           continue;
         }
-        have = LeapfrogAlign(iters, &seeks_);
+        have = cursors.Align(depth);
       } else {
-        have = LeapfrogAdvance(iters, &seeks_);
+        have = cursors.Advance(depth);
       }
       if (have && range.has_hi) {
         // Past this shard's slice? hi is an exclusive lexicographic
@@ -206,120 +195,44 @@ class Engine {
         // key equal to hi[0] must still descend (keys below hi[1] are
         // ours), and the cut happens at level 1.
         if (depth == 0) {
-          int64_t key = iters[0]->Key();
+          int64_t key = cursors.Key(depth);
           if (range.depth == 1 ? key >= range.hi[0] : key > range.hi[0]) {
             have = false;
           }
         } else if (depth == 1 && range.depth == 2 &&
                    prefix_[0] == range.hi[0] &&
-                   iters[0]->Key() >= range.hi[1]) {
+                   cursors.Key(depth) >= range.hi[1]) {
           have = false;
         }
       }
       if (have) {
-        prefix_[depth] = iters[0]->Key();
+        prefix_[depth] = cursors.Key(depth);
         ++level_totals_[depth];
         ++total_intermediate_;
-        bool keep = !filter_ || filter_(depth, prefix_, filter_metrics_);
-        if (keep) {
-          if (depth + 1 == num_levels) {
-            out_->AppendRow(prefix_);
-            ChargeOutput(1);
-            entering = false;  // advance at this level
-          } else {
-            ++depth;  // descend
-            entering = true;
-          }
+        if (!filter_ || filter_(depth, prefix_, filter_metrics_)) {
+          ++depth;  // descend (the deepest level never reaches here)
+          entering = true;
         } else {
           entering = false;  // pruned: advance at this level
         }
         continue;
       }
       // Level exhausted: close it and backtrack.
-      for (TrieIterator* it : iters) it->Up();
+      cursors.Close(depth);
       if (depth == 0) break;
       --depth;
       entering = false;
     }
-    if (batch_.has_value()) batch_->Flush(out_);
-  }
-
-  const std::vector<int64_t>& level_totals() const { return level_totals_; }
-  int64_t seeks() const { return seeks_; }
-  int64_t total_intermediate() const { return total_intermediate_; }
-  int64_t cancel_checks() const { return cancel_checks_; }
-
- private:
-  // The entering protocol shared by the scalar and batched paths: open
-  // every participant, lead with the iterator reporting the fewest
-  // remaining keys (LeapfrogAdvance steps iters[0], so the smallest
-  // level drives the intersection; EstimateKeys is O(1) on the CSR
-  // trie), and skip straight to the shard's lexicographic lower bound.
-  void OpenLevel(std::vector<TrieIterator*>& iters, size_t depth,
-                 const PrefixRange& range) {
-    for (TrieIterator* it : iters) it->Open();
-    if (iters.size() > 1) {
-      size_t lead = 0;
-      int64_t best = iters[0]->EstimateKeys();
-      for (size_t i = 1; i < iters.size(); ++i) {
-        int64_t estimate = iters[i]->EstimateKeys();
-        if (estimate < best) {
-          best = estimate;
-          lead = i;
-        }
-      }
-      if (lead != 0) std::swap(iters[0], iters[lead]);
-    }
-    if (range.has_lo && !iters[0]->AtEnd()) {
-      if (depth == 0 && iters[0]->Key() < range.lo[0]) {
-        iters[0]->Seek(range.lo[0]);
-        ++seeks_;
-      } else if (depth == 1 && range.depth == 2 &&
-                 prefix_[0] == range.lo[0] && iters[0]->Key() < range.lo[1]) {
-        iters[0]->Seek(range.lo[1]);
-        ++seeks_;
-      }
-    }
-  }
-
-  // Charges n freshly materialized output rows (n x 8*arity bytes)
-  // against the admission budget; no-op when the query has none.
-  void ChargeOutput(int64_t n) {
-    if (budget_ != nullptr) budget_->ChargeRows(n, n * row_bytes_);
-  }
-
-  // True when a budgeted query has tripped a ceiling and every loop
-  // should unwind; the driver discards partial output.
-  bool BudgetAborted() const {
-    return budget_ != nullptr && budget_->violated();
-  }
-
-  // Stages one result row (prefix_[0..arity-1]) and flushes on a full
-  // batch. Only the batched paths emit through here.
-  void EmitRow() {
-    batch_->PushRow(prefix_);
-    ChargeOutput(1);
-    if (batch_->full()) batch_->Flush(out_);
-  }
-
-  // Counts one binding at the deepest level and applies the prefix
-  // filter; returns whether the binding survives.
-  bool BindDeepest(size_t depth, int64_t key) {
-    prefix_[depth] = key;
-    ++level_totals_[depth];
-    ++total_intermediate_;
-    return !filter_ || filter_(depth, prefix_, filter_metrics_);
   }
 
   // Drains the entire deepest level for the current prefix. Called with
-  // freshly opened, lead-swapped, lo-bounded iterators (OpenLevel);
-  // afterwards the caller closes the level. Dispatch: bulk NextBlock
-  // drain when a single input covers the level, the devirtualized
-  // raw-cursor kernel when every participant exposes a CSR span, the
-  // scalar leapfrog otherwise — identical bindings, seeks, and output
-  // in all three.
-  void RunDeepestLevel(std::vector<TrieIterator*>& iters, size_t depth,
-                       const PrefixRange& range) {
+  // freshly opened, lead-swapped, lo-bounded cursors; afterwards the
+  // caller closes the level. Dispatch: bulk key runs when a single
+  // input covers the level, the SIMD kernel when the policy exposes
+  // every participant as a raw key range, a per-key leapfrog otherwise —
+  // identical bindings, seeks, and output in all three.
+  template <typename Cursors>
+  void DrainDeepest(Cursors& cursors, size_t depth, const PrefixRange& range) {
     // Shard upper bounds can constrain levels 0 and 1 only; fold the
     // applicable one into a single exclusive key bound. A deepest level
     // at depth 0 means a one-attribute plan, and composite (depth-2)
@@ -338,64 +251,80 @@ class Engine {
         hi = range.hi[1];
       }
     }
-
-    if (iters.size() == 1) {
-      DrainSingle(iters[0], depth, has_hi, hi);
+    if (cursors.Width(depth) == 1) {
+      DrainSingle(cursors, depth, has_hi, hi);
       return;
     }
-
-    raw_cursors_.clear();
-    RawKeySpan span;
-    for (TrieIterator* it : iters) {
-      if (!it->RawLevelSpan(&span)) break;
-      raw_cursors_.push_back(KeyCursor{span.keys, span.pos, span.hi});
-    }
-    if (raw_cursors_.size() == iters.size()) {
-      RunDeepestRaw(depth, has_hi, hi);
+    IntersectStrategy strategy;
+    if (cursors.KernelCursors(depth, &kernel_cursors_, &strategy)) {
+      DrainWithKernel(strategy, depth, has_hi, hi);
     } else {
-      RunDeepestScalar(iters, depth, has_hi, hi);
+      DrainPerKey(cursors, depth, has_hi, hi);
     }
   }
 
   // Single participant: the intersection is the level itself, so the
-  // kernel degenerates to bulk block copies — NextBlock drains straight
-  // out of the CSR level array (or via the scalar default for lazy
-  // tries), and filter-free runs land in the batch column-at-a-time.
-  // Each drained key corresponds to exactly one scalar Next, hence
-  // seeks_ += n.
-  void DrainSingle(TrieIterator* it, size_t depth, bool has_hi, int64_t hi) {
+  // drain degenerates to bulk key runs (array copies, NextBlock), and
+  // filter-free runs land in the batch column-at-a-time. Each drained
+  // key corresponds to exactly one scalar Next, hence seeks_ += n.
+  template <typename Cursors>
+  void DrainSingle(Cursors& cursors, size_t depth, bool has_hi, int64_t hi) {
     const int64_t bound = has_hi ? hi : std::numeric_limits<int64_t>::max();
     for (;;) {
-      size_t n = it->NextBlock(bound, &*block_);
+      const int64_t* keys = nullptr;
+      size_t n = cursors.NextRun(depth, bound, &keys);
       seeks_ += static_cast<int64_t>(n);
-      if (n > 0) EmitDeepestRun(depth, block_->keys.data(), n);
+      if (n > 0) EmitDeepestRun(depth, keys, n);
       if (BudgetAborted()) return;
-      if (n < block_->capacity) break;
+      if (n < kBlock) break;
     }
-    if (!has_hi) {
-      // NextBlock's exclusive bound cannot express "no bound" for keys
-      // equal to INT64_MAX; bind any such stragglers scalar-wise.
-      while (!it->AtEnd() && !BudgetAborted()) {
-        if (BindDeepest(depth, it->Key())) EmitRow();
-        it->Next();
-        ++seeks_;
-      }
+    // An exclusive bound cannot express "no bound" for a key equal to
+    // INT64_MAX; bind any such straggler key by key.
+    if (!has_hi) DrainPerKey(cursors, depth, false, 0);
+  }
+
+  // The per-key leapfrog drain: bind every aligned key below the bound.
+  template <typename Cursors>
+  void DrainPerKey(Cursors& cursors, size_t depth, bool has_hi, int64_t hi) {
+    for (bool have = cursors.Align(depth); have;
+         have = cursors.Advance(depth)) {
+      if (BudgetAborted()) return;
+      int64_t key = cursors.Key(depth);
+      if (has_hi && key >= hi) return;
+      if (BindDeepest(depth, key)) EmitRow();
+    }
+  }
+
+  // Blockwise kernel drain of a multi-way deepest-level intersection
+  // over kernel_cursors_: each call fills kernel_buf_ with up to a batch
+  // of aligned keys (the SIMD leapfrog runs entirely inside the kernel
+  // TU), which are then emitted in bulk.
+  void DrainWithKernel(IntersectStrategy strategy, size_t depth, bool has_hi,
+                       int64_t hi) {
+    bool first = true;
+    bool done = false;
+    while (!done) {
+      size_t produced = kernel_->drain(
+          kernel_cursors_.data(), kernel_cursors_.size(), strategy, first,
+          has_hi, hi, kernel_buf_.data(), kernel_buf_.size(), &seeks_, &done);
+      first = false;
+      if (produced > 0) EmitDeepestRun(depth, kernel_buf_.data(), produced);
+      if (BudgetAborted()) return;
     }
   }
 
   // Emits `n` deepest-level bindings from a contiguous ascending key
   // run: bulk columnar staging when no prefix filter is installed,
-  // per-key bind + filter otherwise. Binding and budget accounting are
-  // identical to the scalar per-key path.
+  // per-key bind + filter otherwise.
   void EmitDeepestRun(size_t depth, const int64_t* keys, size_t n) {
     if (!filter_) {
       level_totals_[depth] += static_cast<int64_t>(n);
       total_intermediate_ += static_cast<int64_t>(n);
       while (n > 0) {
-        size_t take = std::min(n, batch_->capacity() - batch_->size());
-        batch_->PushRun(prefix_, keys, take);
+        size_t take = std::min(n, batch_.capacity() - batch_.size());
+        batch_.PushRun(prefix_, keys, take);
         ChargeOutput(static_cast<int64_t>(take));
-        if (batch_->full()) batch_->Flush(out_);
+        if (batch_.full()) batch_.Flush(out_);
         keys += take;
         n -= take;
       }
@@ -406,338 +335,315 @@ class Engine {
     }
   }
 
-  // Blockwise kernel drain of a multi-way deepest-level intersection:
-  // each call fills kernel_buf_ with up to a batch of aligned keys (the
-  // SIMD leapfrog runs entirely inside the kernel TU), which are then
-  // emitted in bulk. Shared by the virtual RawLevelSpan path and the
-  // full-depth raw executor.
-  void DrainWithKernel(KeyCursor* cursors, size_t n,
-                       IntersectStrategy strategy, size_t depth, bool has_hi,
-                       int64_t hi) {
-    bool first = true;
-    bool done = false;
-    while (!done) {
-      size_t produced = kernel_->drain(cursors, n, strategy, first, has_hi,
-                                       hi, kernel_buf_.data(),
-                                       kernel_buf_.size(), &seeks_, &done);
-      first = false;
-      if (produced > 0) EmitDeepestRun(depth, kernel_buf_.data(), produced);
-      if (BudgetAborted()) return;
-    }
+  // Counts one binding at the deepest level and applies the prefix
+  // filter; returns whether the binding survives.
+  bool BindDeepest(size_t depth, int64_t key) {
+    prefix_[depth] = key;
+    ++level_totals_[depth];
+    ++total_intermediate_;
+    return !filter_ || filter_(depth, prefix_, filter_metrics_);
   }
 
-  // All participants are CSR-backed: leapfrog over the raw key arrays
-  // through the dispatched SIMD kernel — vectorized seeks on plain
-  // int64_t loads, zero virtual dispatch per key — emitting into the
-  // columnar batch. The seek strategy comes from the cardinality skew
-  // of this prefix's remaining ranges (the dynamic EstimateKeys ratio).
-  void RunDeepestRaw(size_t depth, bool has_hi, int64_t hi) {
-    int64_t min_remaining = std::numeric_limits<int64_t>::max();
-    int64_t max_remaining = 0;
-    for (const KeyCursor& c : raw_cursors_) {
-      int64_t remaining = static_cast<int64_t>(c.hi - c.pos);
-      min_remaining = std::min(min_remaining, remaining);
-      max_remaining = std::max(max_remaining, remaining);
-    }
-    IntersectStrategy strategy = ChooseIntersectStrategy(
-        raw_cursors_.size(), min_remaining, max_remaining);
-    DrainWithKernel(raw_cursors_.data(), raw_cursors_.size(), strategy, depth,
-                    has_hi, hi);
+  // Stages one result row (prefix_[0..arity-1]) and flushes on a full
+  // batch.
+  void EmitRow() {
+    batch_.PushRow(prefix_);
+    ChargeOutput(1);
+    if (batch_.full()) batch_.Flush(out_);
   }
 
-  // Mixed participants (a lazy path trie in the intersection): the
-  // existing scalar leapfrog drives the level, but results still flow
-  // through the columnar batch.
-  void RunDeepestScalar(std::vector<TrieIterator*>& iters, size_t depth,
-                        bool has_hi, int64_t hi) {
-    bool have = LeapfrogAlign(iters, &seeks_);
-    while (have) {
-      if (BudgetAborted()) return;
-      int64_t key = iters[0]->Key();
-      if (has_hi && key >= hi) return;
-      if (BindDeepest(depth, key)) EmitRow();
-      have = LeapfrogAdvance(iters, &seeks_);
-    }
+  // Charges n freshly materialized output rows (n x 8*arity bytes)
+  // against the admission budget; no-op when the query has none.
+  void ChargeOutput(int64_t n) {
+    if (budget_ != nullptr) budget_->ChargeRows(n, n * row_bytes_);
   }
 
-  // ---------------------------------------------------------------
-  // Full-depth raw executor: the whole expansion over explicit frame
-  // stacks and CSR child_begin arrays. Control flow, lead selection,
-  // shard-range handling, budget cadence, and every counter mirror
-  // Run() op for op — tests/batch_test.cc holds the paths byte- and
-  // counter-identical at every batch size, thread count, and dispatch
-  // level.
-  // ---------------------------------------------------------------
-
-  // One open trie level of one input: the remaining half-open range
-  // [pos, hi) within that level's key array.
-  struct RawFrame {
-    size_t hi;
-    size_t pos;
-  };
-
-  struct RawInputState {
-    RawTrieView view;
-    std::vector<RawFrame> frames;  // one per open level, top = deepest
-  };
-
-  // A level participant: which input, and the input-local trie level
-  // that the engine level maps to.
-  struct RawRef {
-    size_t input;
-    size_t local;
-  };
-
-  RawFrame& FrameOf(const RawRef& ref) {
-    return raw_inputs_[ref.input].frames.back();
+  // True when a budgeted query has tripped a ceiling and every loop
+  // should unwind; the driver discards partial output.
+  bool BudgetAborted() const {
+    return budget_ != nullptr && budget_->violated();
   }
 
-  const RawTrieView::Level& LevelOf(const RawRef& ref) const {
-    return raw_inputs_[ref.input].view.levels[ref.local];
-  }
-
-  int64_t RawKeyOf(const RawRef& ref) {
-    return LevelOf(ref).keys[FrameOf(ref).pos];
-  }
-
-  void RunRaw(const PrefixRange& range) {
-    const size_t num_levels = raw_levels_.size();
-    size_t depth = 0;
-    bool entering = true;
-    for (;;) {
-      if (budget_ != nullptr) {
-        if ((++budget_ticks_ & 4095) == 0) {
-          budget_->CheckDeadline();
-          (void)XJOIN_FAULT("gj.tick");
-        }
-        if (count_cancel_) ++cancel_checks_;
-        if (budget_->violated()) break;
-      }
-      std::vector<RawRef>& parts = raw_levels_[depth];
-      bool have;
-      if (entering) {
-        OpenRawLevel(depth, range);
-        if (depth == 0) {
-          constexpr int64_t kMaxReserveRows = int64_t{1} << 16;
-          const RawFrame& lead = FrameOf(parts[0]);
-          out_->Reserve(static_cast<size_t>(std::clamp<int64_t>(
-              static_cast<int64_t>(lead.hi - lead.pos), 0, kMaxReserveRows)));
-        }
-        if (depth + 1 == num_levels) {
-          RunDeepestRawLevel(depth, range);
-          CloseRawLevel(depth);
-          if (depth == 0) break;
-          --depth;
-          entering = false;
-          continue;
-        }
-        have = RawAlignLevel(depth);
-      } else {
-        have = RawAdvanceLevel(depth);
-      }
-      if (have && range.has_hi) {
-        if (depth == 0) {
-          int64_t key = RawKeyOf(parts[0]);
-          if (range.depth == 1 ? key >= range.hi[0] : key > range.hi[0]) {
-            have = false;
-          }
-        } else if (depth == 1 && range.depth == 2 &&
-                   prefix_[0] == range.hi[0] &&
-                   RawKeyOf(parts[0]) >= range.hi[1]) {
-          have = false;
+  // The virtual level-cursor policy: the TrieIterator protocol, one
+  // participant list per level with the lead at position 0.
+  class VirtualCursors {
+   public:
+    explicit VirtualCursors(Engine* engine)
+        : engine_(engine), block_(kBlock), levels_(engine->plan_.size()) {
+      for (size_t d = 0; d < levels_.size(); ++d) {
+        for (size_t i : engine->plan_[d].participants) {
+          levels_[d].push_back(engine->inputs_[i].iterator);
         }
       }
-      if (have) {
-        prefix_[depth] = RawKeyOf(parts[0]);
-        ++level_totals_[depth];
-        ++total_intermediate_;
-        bool keep = !filter_ || filter_(depth, prefix_, filter_metrics_);
-        if (keep) {
-          ++depth;  // descend (the deepest level never reaches here)
-          entering = true;
-        } else {
-          entering = false;  // pruned: advance at this level
-        }
-        continue;
-      }
-      CloseRawLevel(depth);
-      if (depth == 0) break;
-      --depth;
-      entering = false;
     }
-  }
 
-  // Mirror of OpenLevel: push a frame per participant (child range from
-  // the parent's position, whole level at local 0), lead with the
-  // smallest remaining range, pick this open's seek strategy from the
-  // cardinality skew, and skip to the shard's lexicographic lower
-  // bound.
-  void OpenRawLevel(size_t depth, const PrefixRange& range) {
-    std::vector<RawRef>& parts = raw_levels_[depth];
-    for (const RawRef& ref : parts) {
-      RawInputState& st = raw_inputs_[ref.input];
-      size_t lo, hi;
-      if (ref.local == 0) {
-        lo = 0;
-        hi = st.view.levels[0].num_keys;
-      } else {
-        const RawFrame& parent = st.frames.back();
-        const size_t* child_begin = st.view.levels[ref.local - 1].child_begin;
-        lo = child_begin[parent.pos];
-        hi = child_begin[parent.pos + 1];
-      }
-      st.frames.push_back(RawFrame{hi, lo});
-    }
-    int64_t min_remaining = std::numeric_limits<int64_t>::max();
-    int64_t max_remaining = 0;
-    if (parts.size() > 1) {
+    // Lead selection by EstimateKeys (O(1) on the CSR trie).
+    void Open(size_t depth) {
+      std::vector<TrieIterator*>& iters = levels_[depth];
+      for (TrieIterator* it : iters) it->Open();
       size_t lead = 0;
-      int64_t best = std::numeric_limits<int64_t>::max();
-      for (size_t i = 0; i < parts.size(); ++i) {
-        const RawFrame& f = FrameOf(parts[i]);
-        int64_t remaining = static_cast<int64_t>(f.hi - f.pos);
-        if (remaining < best) {
-          best = remaining;
+      int64_t best = iters[0]->EstimateKeys();
+      for (size_t i = 1; i < iters.size(); ++i) {
+        int64_t estimate = iters[i]->EstimateKeys();
+        if (estimate < best) {
+          best = estimate;
           lead = i;
         }
-        min_remaining = std::min(min_remaining, remaining);
-        max_remaining = std::max(max_remaining, remaining);
+      }
+      if (lead != 0) std::swap(iters[0], iters[lead]);
+    }
+
+    // Seeks the lead forward to `key` if it sits below it (one seek).
+    void SkipTo(size_t depth, int64_t key) {
+      TrieIterator* lead = levels_[depth][0];
+      if (!lead->AtEnd() && lead->Key() < key) {
+        lead->Seek(key);
+        ++engine_->seeks_;
+      }
+    }
+
+    int64_t LeadEstimate(size_t depth) const {
+      return levels_[depth][0]->EstimateKeys();
+    }
+    size_t Width(size_t depth) const { return levels_[depth].size(); }
+    bool Align(size_t depth) {
+      return LeapfrogAlign(levels_[depth], &engine_->seeks_);
+    }
+    bool Advance(size_t depth) {
+      return LeapfrogAdvance(levels_[depth], &engine_->seeks_);
+    }
+    int64_t Key(size_t depth) const { return levels_[depth][0]->Key(); }
+    void Close(size_t depth) {
+      for (TrieIterator* it : levels_[depth]) it->Up();
+    }
+
+    // Single-participant run: a NextBlock drain (straight out of the CSR
+    // level array, or the scalar default for lazy tries).
+    size_t NextRun(size_t depth, int64_t bound, const int64_t** keys) {
+      size_t n = levels_[depth][0]->NextBlock(bound, &block_);
+      *keys = block_.keys.data();
+      return n;
+    }
+
+    // Every participant's current level as a raw key range, when all of
+    // them expose a RawLevelSpan; the seek strategy comes from the
+    // cardinality skew of this prefix's remaining ranges.
+    bool KernelCursors(size_t depth, std::vector<KeyCursor>* cursors,
+                       IntersectStrategy* strategy) const {
+      cursors->clear();
+      int64_t fewest = std::numeric_limits<int64_t>::max();
+      int64_t most = 0;
+      RawKeySpan span;
+      for (TrieIterator* it : levels_[depth]) {
+        if (!it->RawLevelSpan(&span)) return false;
+        cursors->push_back(KeyCursor{span.keys, span.pos, span.hi});
+        int64_t remaining = static_cast<int64_t>(span.hi - span.pos);
+        fewest = std::min(fewest, remaining);
+        most = std::max(most, remaining);
+      }
+      *strategy = ChooseIntersectStrategy(cursors->size(), fewest, most);
+      return true;
+    }
+
+   private:
+    Engine* engine_;
+    KeyBlock block_;  // NextBlock scratch, one batch of capacity
+    std::vector<std::vector<TrieIterator*>> levels_;
+  };
+
+  // The raw level-cursor policy: per input an explicit stack of frames
+  // over its CSR level arrays, children reached through child_begin.
+  // Seeks run through the dispatched kernel; nothing is virtual.
+  class RawCursors {
+   public:
+    explicit RawCursors(Engine* engine)
+        : engine_(engine), kernel_(engine->kernel_) {}
+
+    // Binds the policy when every input is a plain delta-free CSR trie;
+    // false (a lazy path trie or a pending delta side-file anywhere)
+    // sends the run down the virtual policy.
+    bool Attach() {
+      const std::vector<JoinInput>& inputs = engine_->inputs_;
+      inputs_.resize(inputs.size());
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        if (!inputs[i].iterator->RawTrieSpans(&inputs_[i].view)) return false;
+        inputs_[i].frames.reserve(inputs_[i].view.levels.size());
+      }
+      const std::vector<LevelPlan>& plan = engine_->plan_;
+      levels_.resize(plan.size());
+      strategy_.assign(plan.size(), IntersectStrategy::kGallop);
+      std::vector<size_t> next_local(inputs.size(), 0);
+      for (size_t d = 0; d < plan.size(); ++d) {
+        for (size_t i : plan[d].participants) {
+          levels_[d].push_back(Ref{i, next_local[i]++});
+        }
+      }
+      return true;
+    }
+
+    // Pushes a frame per participant (child range from the parent's
+    // position, whole level at local 0), leads with the smallest
+    // remaining range, and picks this open's seek strategy from the
+    // cardinality skew.
+    void Open(size_t depth) {
+      std::vector<Ref>& parts = levels_[depth];
+      for (const Ref& ref : parts) {
+        Input& in = inputs_[ref.input];
+        size_t lo, hi;
+        if (ref.local == 0) {
+          lo = 0;
+          hi = in.view.levels[0].num_keys;
+        } else {
+          const Frame& parent = in.frames.back();
+          const size_t* child_begin = in.view.levels[ref.local - 1].child_begin;
+          lo = child_begin[parent.pos];
+          hi = child_begin[parent.pos + 1];
+        }
+        in.frames.push_back(Frame{hi, lo});
+      }
+      size_t lead = 0;
+      int64_t fewest = std::numeric_limits<int64_t>::max();
+      int64_t most = 0;
+      for (size_t i = 0; i < parts.size(); ++i) {
+        int64_t remaining = Remaining(parts[i]);
+        if (remaining < fewest) {
+          fewest = remaining;
+          lead = i;
+        }
+        most = std::max(most, remaining);
       }
       if (lead != 0) std::swap(parts[0], parts[lead]);
+      strategy_[depth] = ChooseIntersectStrategy(parts.size(), fewest, most);
     }
-    raw_strategy_[depth] = ChooseIntersectStrategy(parts.size(),
-                                                   min_remaining,
-                                                   max_remaining);
-    if (range.has_lo) {
-      RawFrame& lead = FrameOf(parts[0]);
-      const RawTrieView::Level& level = LevelOf(parts[0]);
-      if (lead.pos < lead.hi) {
-        if (depth == 0 && level.keys[lead.pos] < range.lo[0]) {
-          lead.pos = kernel_->seek(level.keys, lead.pos, lead.hi,
-                                   range.lo[0], raw_strategy_[depth]);
-          ++seeks_;
-        } else if (depth == 1 && range.depth == 2 &&
-                   prefix_[0] == range.lo[0] &&
-                   level.keys[lead.pos] < range.lo[1]) {
-          lead.pos = kernel_->seek(level.keys, lead.pos, lead.hi,
-                                   range.lo[1], raw_strategy_[depth]);
-          ++seeks_;
+
+    void SkipTo(size_t depth, int64_t key) {
+      const Ref& lead = levels_[depth][0];
+      Frame& f = FrameOf(lead);
+      const int64_t* keys = LevelOf(lead).keys;
+      if (f.pos < f.hi && keys[f.pos] < key) {
+        f.pos = kernel_->seek(keys, f.pos, f.hi, key, strategy_[depth]);
+        ++engine_->seeks_;
+      }
+    }
+
+    int64_t LeadEstimate(size_t depth) { return Remaining(levels_[depth][0]); }
+    size_t Width(size_t depth) const { return levels_[depth].size(); }
+
+    // LeapfrogAlign over the frames, each jump's interior search
+    // running through the kernel. Identical seek accounting.
+    bool Align(size_t depth) {
+      std::vector<Ref>& parts = levels_[depth];
+      for (const Ref& ref : parts) {
+        const Frame& f = FrameOf(ref);
+        if (f.pos >= f.hi) return false;
+      }
+      if (parts.size() == 1) return true;
+      const IntersectStrategy strategy = strategy_[depth];
+      for (;;) {
+        int64_t max_key = KeyOf(parts[0]);
+        for (size_t i = 1; i < parts.size(); ++i) {
+          max_key = std::max(max_key, KeyOf(parts[i]));
         }
-      }
-    }
-  }
-
-  void CloseRawLevel(size_t depth) {
-    for (const RawRef& ref : raw_levels_[depth]) {
-      raw_inputs_[ref.input].frames.pop_back();
-    }
-  }
-
-  // Mirrors of LeapfrogAlign / LeapfrogAdvance over the frame stacks,
-  // with each jump's interior search running through the dispatched
-  // kernel. Identical seek accounting.
-  bool RawAlignLevel(size_t depth) {
-    std::vector<RawRef>& parts = raw_levels_[depth];
-    for (const RawRef& ref : parts) {
-      const RawFrame& f = FrameOf(ref);
-      if (f.pos >= f.hi) return false;
-    }
-    if (parts.size() == 1) return true;
-    const IntersectStrategy strategy = raw_strategy_[depth];
-    for (;;) {
-      int64_t max_key = RawKeyOf(parts[0]);
-      for (size_t i = 1; i < parts.size(); ++i) {
-        max_key = std::max(max_key, RawKeyOf(parts[i]));
-      }
-      bool all_equal = true;
-      for (const RawRef& ref : parts) {
-        RawFrame& f = FrameOf(ref);
-        const RawTrieView::Level& level = LevelOf(ref);
-        if (level.keys[f.pos] < max_key) {
-          f.pos = kernel_->seek(level.keys, f.pos, f.hi, max_key, strategy);
-          ++seeks_;
-          if (f.pos >= f.hi) return false;
-          if (level.keys[f.pos] > max_key) {
-            all_equal = false;  // overshoot: new max, restart
-            break;
+        bool all_equal = true;
+        for (const Ref& ref : parts) {
+          Frame& f = FrameOf(ref);
+          const int64_t* keys = LevelOf(ref).keys;
+          if (keys[f.pos] < max_key) {
+            f.pos = kernel_->seek(keys, f.pos, f.hi, max_key, strategy);
+            ++engine_->seeks_;
+            if (f.pos >= f.hi) return false;
+            if (keys[f.pos] > max_key) {
+              all_equal = false;  // overshoot: new max, restart
+              break;
+            }
           }
         }
-      }
-      if (all_equal) return true;
-    }
-  }
-
-  bool RawAdvanceLevel(size_t depth) {
-    RawFrame& lead = FrameOf(raw_levels_[depth][0]);
-    ++lead.pos;
-    ++seeks_;
-    if (lead.pos >= lead.hi) return false;
-    return RawAlignLevel(depth);
-  }
-
-  // Mirror of RunDeepestLevel: fold the shard bound, then drain the
-  // level — bulk array copies for a single participant, the SIMD
-  // kernel for a true intersection.
-  void RunDeepestRawLevel(size_t depth, const PrefixRange& range) {
-    bool has_hi = false;
-    int64_t hi = 0;
-    if (range.has_hi) {
-      if (depth == 0) {
-        XJ_DCHECK(range.depth == 1);
-        has_hi = true;
-        hi = range.hi[0];
-      } else if (depth == 1 && range.depth == 2 &&
-                 prefix_[0] == range.hi[0]) {
-        has_hi = true;
-        hi = range.hi[1];
+        if (all_equal) return true;
       }
     }
-    std::vector<RawRef>& parts = raw_levels_[depth];
-    if (parts.size() == 1) {
-      DrainSingleRaw(depth, has_hi, hi);
-      return;
-    }
-    raw_cursors_.clear();
-    for (const RawRef& ref : parts) {
-      const RawFrame& f = FrameOf(ref);
-      raw_cursors_.push_back(KeyCursor{LevelOf(ref).keys, f.pos, f.hi});
-    }
-    DrainWithKernel(raw_cursors_.data(), raw_cursors_.size(),
-                    raw_strategy_[depth], depth, has_hi, hi);
-  }
 
-  // Mirror of DrainSingle over the raw level array: the same blockwise
-  // protocol (n counted seeks per block of at most one batch, budget
-  // poll between blocks, scalar INT64_MAX stragglers), but the keys
-  // stage straight out of the CSR array with zero copies in between.
-  void DrainSingleRaw(size_t depth, bool has_hi, int64_t hi) {
-    RawFrame& f = FrameOf(raw_levels_[depth][0]);
-    const RawTrieView::Level& level = LevelOf(raw_levels_[depth][0]);
-    const int64_t bound = has_hi ? hi : std::numeric_limits<int64_t>::max();
-    const size_t cap = kernel_buf_.size();
-    for (;;) {
-      size_t end = std::min(f.pos + cap, f.hi);
-      if (end > f.pos && level.keys[end - 1] >= bound) {
-        end = kernel_->lower_bound(level.keys, f.pos, end, bound);
+    bool Advance(size_t depth) {
+      Frame& lead = FrameOf(levels_[depth][0]);
+      ++lead.pos;
+      ++engine_->seeks_;
+      if (lead.pos >= lead.hi) return false;
+      return Align(depth);
+    }
+
+    int64_t Key(size_t depth) { return KeyOf(levels_[depth][0]); }
+
+    void Close(size_t depth) {
+      for (const Ref& ref : levels_[depth]) {
+        inputs_[ref.input].frames.pop_back();
       }
+    }
+
+    // Single-participant run: up to one batch of keys below `bound`,
+    // borrowed straight from the CSR level array.
+    size_t NextRun(size_t depth, int64_t bound, const int64_t** keys) {
+      const Ref& ref = levels_[depth][0];
+      Frame& f = FrameOf(ref);
+      const int64_t* level_keys = LevelOf(ref).keys;
+      size_t end = std::min(f.pos + kBlock, f.hi);
+      if (end > f.pos && level_keys[end - 1] >= bound) {
+        end = kernel_->lower_bound(level_keys, f.pos, end, bound);
+      }
+      *keys = level_keys + f.pos;
       size_t n = end - f.pos;
-      seeks_ += static_cast<int64_t>(n);
-      if (n > 0) {
-        EmitDeepestRun(depth, level.keys + f.pos, n);
-        f.pos = end;
-      }
-      if (BudgetAborted()) return;
-      if (n < cap) break;
+      f.pos = end;
+      return n;
     }
-    if (!has_hi) {
-      while (f.pos < f.hi && !BudgetAborted()) {
-        if (BindDeepest(depth, level.keys[f.pos])) EmitRow();
-        ++f.pos;
-        ++seeks_;
-      }
-    }
-  }
 
+    bool KernelCursors(size_t depth, std::vector<KeyCursor>* cursors,
+                       IntersectStrategy* strategy) {
+      cursors->clear();
+      for (const Ref& ref : levels_[depth]) {
+        const Frame& f = FrameOf(ref);
+        cursors->push_back(KeyCursor{LevelOf(ref).keys, f.pos, f.hi});
+      }
+      *strategy = strategy_[depth];
+      return true;
+    }
+
+   private:
+    // One open trie level of one input: the remaining half-open range
+    // [pos, hi) within that level's key array.
+    struct Frame {
+      size_t hi;
+      size_t pos;
+    };
+    struct Input {
+      RawTrieView view;
+      std::vector<Frame> frames;  // one per open level, top = deepest
+    };
+    // A level participant: which input, and the input-local trie level
+    // that the engine level maps to.
+    struct Ref {
+      size_t input;
+      size_t local;
+    };
+
+    Frame& FrameOf(const Ref& ref) { return inputs_[ref.input].frames.back(); }
+    const RawTrieView::Level& LevelOf(const Ref& ref) const {
+      return inputs_[ref.input].view.levels[ref.local];
+    }
+    int64_t KeyOf(const Ref& ref) {
+      return LevelOf(ref).keys[FrameOf(ref).pos];
+    }
+    int64_t Remaining(const Ref& ref) {
+      const Frame& f = FrameOf(ref);
+      return static_cast<int64_t>(f.hi - f.pos);
+    }
+
+    Engine* engine_;
+    const IntersectKernel* kernel_;
+    std::vector<Input> inputs_;
+    std::vector<std::vector<Ref>> levels_;     // participants per level
+    std::vector<IntersectStrategy> strategy_;  // chosen at each open
+  };
+
+  const std::vector<JoinInput>& inputs_;
+  const std::vector<LevelPlan>& plan_;
   const PrefixFilter& filter_;
   Metrics* filter_metrics_;
   Relation* out_;
@@ -748,18 +654,10 @@ class Engine {
   int64_t cancel_checks_ = 0;
   Tuple prefix_;
   std::vector<int64_t> level_totals_;
-  std::vector<std::vector<TrieIterator*>> level_iters_;
-  std::optional<ResultBatch> batch_;  // engaged iff batch_size > 0
-  std::optional<KeyBlock> block_;     // NextBlock scratch, same capacity
-  const IntersectKernel* kernel_ = nullptr;  // resolved once per engine
-  std::vector<int64_t> kernel_buf_;   // drain destination, batch capacity
-  std::vector<KeyCursor> raw_cursors_;
-  // Full-depth raw mode, engaged iff batch is on and every input
-  // exposes RawTrieSpans (plain delta-free CSR storage).
-  std::vector<RawInputState> raw_inputs_;
-  std::vector<std::vector<RawRef>> raw_levels_;  // participants per level
-  std::vector<IntersectStrategy> raw_strategy_;  // chosen at each open
-  bool raw_mode_ = false;
+  ResultBatch batch_;
+  const IntersectKernel* kernel_;    // resolved once per engine
+  std::vector<int64_t> kernel_buf_;  // kernel drain destination, one batch
+  std::vector<KeyCursor> kernel_cursors_;
   int64_t seeks_ = 0;
   int64_t total_intermediate_ = 0;
 };
@@ -814,7 +712,7 @@ std::vector<std::array<int64_t, 2>> Level01PrefixPairs(
   auto schema = Schema::Make({plan[0].attribute, plan[1].attribute});
   Relation pairs_rel(*schema);
   PrefixFilter no_filter;
-  Engine engine(inputs, plan2, no_filter, nullptr, &pairs_rel);
+  Engine engine(inputs, plan2, no_filter, nullptr, &pairs_rel, nullptr);
   engine.Run(PrefixRange{});
   *seeks += engine.seeks();
   std::vector<std::array<int64_t, 2>> pairs;
@@ -901,20 +799,6 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   const int requested_shards =
       options.num_shards > 0 ? options.num_shards : num_threads;
 
-  if (requested_shards <= 1) {
-    Engine engine(inputs, plan, options.prefix_filter, options.metrics, &out,
-                  options.batch_size, budget);
-    engine.Run(PrefixRange{});
-    if (budget != nullptr && budget->violated()) {
-      return budget->status();
-    }
-    PublishMetrics(options.metrics, engine.level_totals(), engine.seeks(),
-                   engine.total_intermediate(),
-                   static_cast<int64_t>(out.num_rows()),
-                   engine.cancel_checks());
-    return out;
-  }
-
   // Sharded driver: partition the first attribute's matching keys into
   // contiguous ascending ranges, one per shard. When level 0 alone has
   // fewer distinct keys than the requested shard count (and the order
@@ -922,42 +806,42 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   // level-0 x level-1 composite prefix instead of silently degenerating
   // to ~1 shard.
   int64_t plan_seeks = 0;
-  std::vector<TrieIterator*> level0;
-  level0.reserve(plan[0].participants.size());
-  for (size_t i : plan[0].participants) level0.push_back(inputs[i].iterator);
-  std::vector<int64_t> keys = Level0IntersectionKeys(level0, &plan_seeks);
-
-  // Composite planning runs a serial two-level leapfrog, so by default
-  // (shard_depth == 0) only pay for it when level-0 sharding would fall
-  // well short of the request (under half the shards) — a near-miss
-  // level-0 split is cheaper than enumerating the pair domain up front.
-  // A prepared plan that already knows the domain sizes overrides the
-  // decision through shard_depth.
+  std::vector<int64_t> keys;
   std::vector<std::array<int64_t, 2>> pairs;
-  bool composite;
-  if (options.shard_depth == 2) {
-    composite = plan.size() >= 2 && !keys.empty();
-  } else if (options.shard_depth == 1) {
-    composite = false;
-  } else {
-    composite = keys.size() * 2 <= static_cast<size_t>(requested_shards) &&
-                plan.size() >= 2 && !keys.empty();
-  }
-  if (composite) {
-    pairs = Level01PrefixPairs(inputs, plan, &plan_seeks);
-    composite = pairs.size() > 1;
-  }
+  bool composite = false;
+  size_t num_shards = 1;
+  if (requested_shards > 1) {
+    std::vector<TrieIterator*> level0;
+    level0.reserve(plan[0].participants.size());
+    for (size_t i : plan[0].participants) level0.push_back(inputs[i].iterator);
+    keys = Level0IntersectionKeys(level0, &plan_seeks);
 
-  const size_t domain = composite ? pairs.size() : keys.size();
-  const size_t num_shards = std::min<size_t>(
-      static_cast<size_t>(requested_shards), std::max<size_t>(domain, 1));
+    // Composite planning runs a serial two-level leapfrog, so by default
+    // (shard_depth == 0) only pay for it when level-0 sharding would fall
+    // well short of the request (under half the shards) — a near-miss
+    // level-0 split is cheaper than enumerating the pair domain up front.
+    // A prepared plan that already knows the domain sizes overrides the
+    // decision through shard_depth.
+    if (options.shard_depth == 2) {
+      composite = plan.size() >= 2 && !keys.empty();
+    } else if (options.shard_depth != 1) {
+      composite = keys.size() * 2 <= static_cast<size_t>(requested_shards) &&
+                  plan.size() >= 2 && !keys.empty();
+    }
+    if (composite) {
+      pairs = Level01PrefixPairs(inputs, plan, &plan_seeks);
+      composite = pairs.size() > 1;
+    }
+    const size_t domain = composite ? pairs.size() : keys.size();
+    num_shards = std::min<size_t>(static_cast<size_t>(requested_shards),
+                                  std::max<size_t>(domain, 1));
+  }
 
   if (num_shards <= 1) {
-    // The prefix domain is too small to shard (0 or 1 distinct
-    // prefixes): fall back to the serial engine instead of paying
-    // clone + merge overhead.
+    // Serial: one shard requested, or a prefix domain too small to shard
+    // (0 or 1 distinct prefixes) — no clone + merge overhead.
     Engine engine(inputs, plan, options.prefix_filter, options.metrics, &out,
-                  options.batch_size, budget);
+                  budget);
     engine.Run(PrefixRange{});
     if (budget != nullptr && budget->violated()) {
       return budget->status();
@@ -966,7 +850,7 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
                    engine.total_intermediate(),
                    static_cast<int64_t>(out.num_rows()),
                    engine.cancel_checks());
-    if (options.metrics != nullptr) {
+    if (requested_shards > 1 && options.metrics != nullptr) {
       options.metrics->Add("gj.shards", 1);
       options.metrics->Add("gj.shard_depth", 1);
       options.metrics->Add("gj.plan_seeks", plan_seeks);
@@ -992,6 +876,7 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
 
   std::vector<Shard> shards;
   shards.reserve(num_shards);
+  const size_t domain = composite ? pairs.size() : keys.size();
   const size_t per_shard = domain / num_shards;
   const size_t remainder = domain % num_shards;
   size_t cursor = 0;
@@ -1060,7 +945,7 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     Metrics* filter_metrics =
         options.metrics != nullptr ? &shard.metrics : nullptr;
     Engine engine(shard.inputs, plan, options.prefix_filter, filter_metrics,
-                  &shard.out, options.batch_size, budget);
+                  &shard.out, budget);
     engine.Run(shard.range);
     shard.level_totals = engine.level_totals();
     shard.seeks = engine.seeks();

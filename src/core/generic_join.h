@@ -6,7 +6,16 @@
 // from all databases at the same time".
 //
 // Execution model: the expansion loop runs as an iterative explicit-stack
-// walk (one LevelState per attribute, no recursion), optionally sharded —
+// walk (one open level per attribute, no recursion), written once over
+// two level-cursor policies — raw CSR frames when every input is a
+// plain CSR trie (seeks through the runtime-dispatched SIMD kernels of
+// relational/intersect_kernels.h, no virtual calls), the virtual
+// TrieIterator protocol otherwise. Every deepest level drains
+// block-at-a-time (bulk key runs, the SIMD kernel, or a per-key
+// leapfrog) into a columnar ResultBatch of kDefaultResultBatchCapacity
+// rows flushed via Relation::AppendColumnBlock. Results and every
+// "gj.*" counter are identical under both policies and at every SIMD
+// dispatch level, serial or sharded. The loop is optionally sharded —
 // the first attribute's key domain is partitioned into K contiguous
 // ranges, every input is Clone()d per shard, and shards run on a thread
 // pool with zero shared mutable state. Shard outputs are concatenated in
@@ -25,7 +34,6 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "relational/relation.h"
-#include "relational/result_batch.h"
 #include "relational/trie_iterator.h"
 
 namespace xjoin {
@@ -86,23 +94,6 @@ struct GenericJoinOptions {
   /// pair domain has <= 1 element). Results are byte-identical for
   /// every setting.
   int shard_depth = 0;
-  /// Result-batch capacity in rows. > 0 (the default) runs
-  /// block-at-a-time execution: when every input is a plain CSR
-  /// RelationTrie the whole expansion runs over the raw level arrays
-  /// with runtime-dispatched SIMD intersection kernels (SSE4.2/AVX2
-  /// galloping lower-bound, see relational/intersect_kernels.h);
-  /// otherwise block-at-a-time applies at the deepest level — bulk
-  /// TrieIterator::NextBlock drains when one input covers the level,
-  /// the dispatched kernel when every participant exposes a raw span,
-  /// the scalar leapfrog otherwise. Results stage in a columnar
-  /// ResultBatch of this many rows, flushed via
-  /// Relation::AppendColumnBlock. 0 opts out: the legacy scalar path,
-  /// one virtual Key/Next/Seek round per binding and one
-  /// Relation::AppendRow per result row. Results are byte-identical and
-  /// every "gj.*" counter (bindings, seeks, total_intermediate, output)
-  /// is identical to the scalar path at any batch size and SIMD
-  /// dispatch level, serial or sharded.
-  int batch_size = kDefaultResultBatchCapacity;
   /// Optional per-query admission budget shared by every shard
   /// (nullable). The engine charges each materialized output row
   /// (rows x 8*arity bytes) against it, samples the deadline every few

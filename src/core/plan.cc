@@ -11,6 +11,7 @@
 #include "common/string_util.h"
 #include "core/bound.h"
 #include "relational/intersect_kernels.h"
+#include "relational/result_batch.h"
 
 namespace xjoin {
 
@@ -85,9 +86,7 @@ void PlanLevels(XJoinPlan* plan) {
       if (*in.trie == nullptr || (*in.trie)->has_delta()) all_raw = false;
     }
     level.coverage = static_cast<int>(level.participants.size());
-    if (plan->batch_size <= 0) {
-      level.kernel = "scalar";
-    } else if (level.coverage <= 1) {
+    if (level.coverage <= 1) {
       level.kernel = "drain";
     } else if (all_raw) {
       level.kernel = IntersectStrategyName(ChooseIntersectStrategy(
@@ -193,7 +192,6 @@ size_t PlanFingerprint(const XJoinOptions& options) {
                            (options.structural_pruning ? 2u : 0u));
   fp = HashCombine(fp, static_cast<size_t>(std::max(1, options.num_threads)));
   fp = HashCombine(fp, static_cast<size_t>(std::max(0, options.num_shards)));
-  fp = HashCombine(fp, static_cast<size_t>(std::max(0, options.batch_size)));
   return fp;
 }
 
@@ -209,7 +207,6 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
   plan->structural_pruning = options.structural_pruning;
   plan->num_threads = std::max(1, options.num_threads);
   plan->num_shards = options.num_shards;
-  plan->batch_size = std::max(0, options.batch_size);
 
   // 1. Expansion order (PA).
   if (options.attribute_order.empty()) {
@@ -382,17 +379,13 @@ std::string ExplainPlan(const XJoinPlan& plan) {
     out += ", composite domain ~" + std::to_string(sp.level01_keys);
   }
   out += ")\n";
-  out += "execution: ";
-  if (plan.batch_size > 0) {
-    out += "batched (columnar, block=" + std::to_string(plan.batch_size) +
-           "; CSR levels devirtualized)\n";
-    // Live property of the host running EXPLAIN, not a plan snapshot:
-    // the dispatch ladder is resolved again wherever the plan executes.
-    out += "simd dispatch: " +
-           std::string(SimdLevelName(ActiveSimdLevel())) + "\n";
-  } else {
-    out += "scalar (row-at-a-time; batch_size=0)\n";
-  }
+  out += "execution: batched (columnar, block=" +
+         std::to_string(kDefaultResultBatchCapacity) +
+         "; CSR levels devirtualized)\n";
+  // Live property of the host running EXPLAIN, not a plan snapshot: the
+  // dispatch level is resolved again wherever the plan executes.
+  out += "simd dispatch: " + std::string(SimdLevelName(ActiveSimdLevel())) +
+         "\n";
   out += "pinned tries: " + std::to_string(plan.tries_provider) +
          " via db cache, " + std::to_string(plan.tries_built) +
          " private builds\n";

@@ -33,7 +33,6 @@
 #include "core/validate.h"
 #include "core/virtual_relation.h"
 #include "relational/relation.h"
-#include "relational/result_batch.h"
 #include "relational/trie.h"
 
 namespace xjoin {
@@ -85,13 +84,6 @@ struct XJoinOptions {
   /// thread). num_shards > 1 with num_threads == 1 exercises the shard
   /// partitioning deterministically on one thread.
   int num_shards = 0;
-  /// Result-batch capacity for the expansion loop, snapshotted into the
-  /// plan and part of the cache fingerprint. > 0 (the default) =
-  /// block-at-a-time execution with columnar materialization and
-  /// runtime-dispatched SIMD intersection kernels over raw CSR inputs;
-  /// 0 = the legacy scalar opt-out (see GenericJoinOptions::batch_size).
-  /// Results and "gj.*"/"validate.*" counters are identical either way.
-  int batch_size = kDefaultResultBatchCapacity;
   /// Optional trie cache hook (see TrieProvider above). Empty = every
   /// prepare builds its own relation tries.
   TrieProvider trie_provider;
@@ -140,8 +132,7 @@ struct PlanLevel {
   int64_t lead_estimate = 0;              ///< its static key-count estimate
   int coverage = 0;                       ///< #inputs covering the attribute
   /// Planned intersection kernel for the level, shown by EXPLAIN:
-  /// "scalar" (batch_size == 0 — virtual leapfrog throughout), "drain"
-  /// (single participant: bulk block copies), "gallop"/"merge" (the
+  /// "drain" (single participant: bulk block copies), "gallop"/"merge" (the
   /// SIMD-dispatched raw-CSR kernel, strategy picked from the static
   /// cardinality skew), or "leapfrog" (non-CSR participant, virtual
   /// protocol). Like the lead, the executor re-decides per prefix from
@@ -183,7 +174,6 @@ struct XJoinPlan {
   bool structural_pruning = false;
   int num_threads = 1;
   int num_shards = 0;
-  int batch_size = kDefaultResultBatchCapacity;
 
   /// The chosen expansion order (PA) with its per-level rationale.
   std::vector<std::string> order;
@@ -261,7 +251,7 @@ std::string PathSignature(const Twig& twig, const TwigPath& path);
 
 /// Fingerprint of the plan-shaping option fields (attribute_order,
 /// order_heuristic, materialize_paths, structural_pruning, num_threads,
-/// num_shards, batch_size) — the second half of the database's
+/// num_shards) — the second half of the database's
 /// plan-cache key, so e.g. num_threads and structural_pruning variants
 /// get distinct plans.
 size_t PlanFingerprint(const XJoinOptions& options);

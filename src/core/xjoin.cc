@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/parallel.h"
 #include "core/generic_join.h"
 #include "relational/operators.h"
 #include "relational/trie.h"
@@ -59,7 +58,6 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   gj_options.num_threads = num_threads;
   gj_options.num_shards = plan.shard_plan.count;
   gj_options.shard_depth = plan.shard_plan.depth;
-  gj_options.batch_size = plan.batch_size;
   gj_options.budget = budget;
   gj_options.executor = options.executor;
   if (plan.structural_pruning) {

@@ -34,8 +34,6 @@ const IntersectKernel* IntersectKernelFor(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return &kScalarKernel;
-    case SimdLevel::kSse42:
-      return intersect_internal::Sse42IntersectKernel();
     case SimdLevel::kAvx2:
       return intersect_internal::Avx2IntersectKernel();
   }
@@ -43,14 +41,9 @@ const IntersectKernel* IntersectKernelFor(SimdLevel level) {
 }
 
 const IntersectKernel& ActiveIntersectKernel() {
-  // Walk down the ladder from the policy level to the first table this
-  // binary actually carries (the -m flags may be unavailable).
-  for (int level = static_cast<int>(ActiveSimdLevel()); level > 0; --level) {
-    const IntersectKernel* kernel =
-        IntersectKernelFor(static_cast<SimdLevel>(level));
-    if (kernel != nullptr) return *kernel;
-  }
-  return kScalarKernel;
+  // The -mavx2 flag may have been unavailable at build time.
+  const IntersectKernel* kernel = IntersectKernelFor(ActiveSimdLevel());
+  return kernel != nullptr ? *kernel : kScalarKernel;
 }
 
 }  // namespace xjoin

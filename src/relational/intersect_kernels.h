@@ -6,12 +6,13 @@
 // The generic-join engine's hot loop is multi-way sorted-set
 // intersection: leapfrog seeks over the `keys[d]` arrays of CSR tries.
 // This module packages that loop as a table of function pointers — one
-// table per SimdLevel (scalar / SSE4.2 / AVX2), selected once per
+// table per SimdLevel (scalar / AVX2), selected once per
 // engine run by ActiveIntersectKernel() — so the binary carries every
 // variant and picks at runtime, staying runnable on baseline x86-64.
 //
 // Counter-exactness contract: every variant performs the *same logical
-// leapfrog jump sequence* as the scalar engine. A "seek" lands at
+// leapfrog jump sequence* as LeapfrogAlign/LeapfrogAdvance over
+// TrieIterators (core/generic_join.h). A "seek" lands at
 // exactly the same position and is counted exactly once no matter
 // which table executes it; SIMD only accelerates the interior search
 // of each seek (vectorized lower-bound probing and linear compare
@@ -89,8 +90,8 @@ struct IntersectKernel {
   size_t (*seek)(const int64_t* keys, size_t pos, size_t hi, int64_t key,
                  IntersectStrategy strategy);
 
-  /// Resumable multi-way intersection drain, the batched engine's
-  /// deepest-level loop. Mirrors the scalar engine op for op:
+  /// Resumable multi-way intersection drain, the engine's
+  /// deepest-level loop. Mirrors the virtual leapfrog op for op:
   /// `first` starts with an align (initial intersection) instead of an
   /// advance; every aligned key < `hi` (when `has_hi`) is appended to
   /// `out`; each underlying seek increments *seeks by one. Returns the
@@ -104,9 +105,8 @@ struct IntersectKernel {
 };
 
 namespace intersect_internal {
-// Per-TU registries: return null when the TU was compiled without the
-// matching -m flag (non-x86 builds, or a toolchain lacking the flag).
-const IntersectKernel* Sse42IntersectKernel();
+// Per-TU registry: returns null when the TU was compiled without -mavx2
+// (non-x86 builds, or a toolchain lacking the flag).
 const IntersectKernel* Avx2IntersectKernel();
 }  // namespace intersect_internal
 
@@ -114,9 +114,9 @@ const IntersectKernel* Avx2IntersectKernel();
 /// compiled into this binary. The scalar table always exists.
 const IntersectKernel* IntersectKernelFor(SimdLevel level);
 
-/// The best table at or below ActiveSimdLevel() that is actually
-/// compiled in. Re-resolved per call so dispatch overrides (tests,
-/// XJOIN_SIMD) take effect on the next engine run.
+/// The table for ActiveSimdLevel() when it is compiled in, else the
+/// scalar table. Re-resolved per call so dispatch overrides (tests,
+/// benches) take effect on the next engine run.
 const IntersectKernel& ActiveIntersectKernel();
 
 }  // namespace xjoin

@@ -2,7 +2,7 @@
 // -mavx2 (see src/relational/CMakeLists.txt), so the vector code here
 // never leaks into translation units that must stay runnable on
 // baseline x86-64. When the flag is unavailable the registry entry
-// degrades to null and dispatch walks down to SSE4.2 or scalar.
+// degrades to null and dispatch falls back to the portable scalar table.
 #include "relational/intersect_kernels.h"
 
 #if defined(__AVX2__) && (defined(__GNUC__) || defined(__clang__))

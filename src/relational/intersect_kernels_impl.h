@@ -2,7 +2,7 @@
 #define XJOIN_RELATIONAL_INTERSECT_KERNELS_IMPL_H_
 
 // Shared kernel bodies, stamped out once per SIMD level. Each variant
-// TU (intersect_kernels.cc and the -msse4.2/-mavx2 TUs) instantiates
+// TU (intersect_kernels.cc and the -mavx2 TU) instantiates
 // Kernels<Ops> with an Ops policy supplying the vector primitive:
 //
 //   LinearLowerBound(keys, lo, hi, key) — first index in [lo, hi)
@@ -69,7 +69,7 @@ struct Kernels {
     return LowerBound(keys, base, bracket_hi, key);
   }
 
-  // Mirrors the scalar engine's leapfrog align: false if any cursor is
+  // Mirrors LeapfrogAlign: false if any cursor is
   // exhausted; otherwise seek every lagging cursor to the running max
   // (one counted seek per jump) until all agree on one key (cursor 0's
   // current key).
@@ -101,7 +101,7 @@ struct Kernels {
     }
   }
 
-  // Mirrors the scalar engine's advance: step the lead cursor (one
+  // Mirrors LeapfrogAdvance: step the lead cursor (one
   // counted seek), then realign.
   static bool Advance(KeyCursor* cursors, size_t n,
                       IntersectStrategy strategy, int64_t* seeks) {

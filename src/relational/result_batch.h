@@ -13,14 +13,12 @@
 
 namespace xjoin {
 
-/// Default result-batch capacity in rows — the batch_size that
-/// GenericJoinOptions and XJoinOptions start from. Block-at-a-time
-/// execution is on by default; callers opt back into the scalar
-/// row-at-a-time path with batch_size = 0. 1024 rows keeps a batch's
-/// working set (8 KiB per column) inside L1/L2 while amortizing the
-/// per-block dispatch overhead; the equivalence suites hold results
-/// byte-identical at every size, so the constant is purely a
-/// performance knob.
+/// Result-batch capacity in rows of the generic-join engine, which
+/// always runs block-at-a-time. 1024 rows keeps a batch's working set
+/// (8 KiB per column) inside L1/L2 while amortizing the per-block
+/// dispatch overhead; the golden-record suites hold results and
+/// counters to the row-at-a-time reference, so the constant is purely
+/// a performance knob.
 inline constexpr int kDefaultResultBatchCapacity = 1024;
 
 /// One column per output attribute, at most `capacity` staged rows.

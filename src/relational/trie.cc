@@ -4,8 +4,8 @@
 #include <map>
 #include <numeric>
 
+#include "common/executor.h"
 #include "common/logging.h"
-#include "common/parallel.h"
 
 namespace xjoin {
 
@@ -99,7 +99,8 @@ void AssembleCsrLevels(const std::vector<std::vector<int64_t>>& sorted,
                        std::vector<std::vector<int64_t>>* keys,
                        std::vector<std::vector<size_t>>* child_begin) {
   std::vector<uint32_t> diff(n);
-  ParallelFor(num_threads, n, /*grain=*/4096, [&](size_t i) {
+  Executor* pool = Executor::Default();
+  pool->ParallelFor(num_threads, n, /*grain=*/4096, [&](size_t i) {
     if (i == 0) {
       diff[0] = 0;
       return;
@@ -109,7 +110,7 @@ void AssembleCsrLevels(const std::vector<std::vector<int64_t>>& sorted,
     diff[i] = level;
   });
 
-  ParallelFor(num_threads, k, /*grain=*/1, [&](size_t d) {
+  pool->ParallelFor(num_threads, k, /*grain=*/1, [&](size_t d) {
     std::vector<int64_t>& level_keys = (*keys)[d];
     const std::vector<int64_t>& col = sorted[d];
     if (d + 1 < k) {
@@ -207,7 +208,8 @@ Result<RelationTrie> RelationTrie::Build(const Relation& relation,
 
   // 3. Materialize the sorted columns (parallel per column).
   std::vector<std::vector<int64_t>> sorted(k);
-  ParallelFor(num_threads, k, /*grain=*/1, [&](size_t c) {
+  Executor* pool = Executor::Default();
+  pool->ParallelFor(num_threads, k, /*grain=*/1, [&](size_t c) {
     const std::vector<int64_t>& col = *cols[c];
     sorted[c].resize(n);
     for (size_t i = 0; i < n; ++i) sorted[c][i] = col[rows[i]];

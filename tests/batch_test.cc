@@ -1,16 +1,21 @@
-// Batched execution equivalence: with batch_size > 0 the engine runs
-// block-at-a-time (bulk NextBlock drains, the devirtualized CSR
-// last-level kernel, columnar ResultBatch materialization) and must be
-// indistinguishable from the scalar path — byte-identical result
-// relations and identical "gj." / "validate." / "xjoin." counters — on
-// every workload, at every batch size, at every thread count. Also
-// covers the ResultBatch / Relation::AppendColumnBlock substrate
-// directly.
+// Expansion-loop equivalence against golden fixtures. The generic-join
+// engine runs one expansion loop over two level-cursor policies — raw
+// CSR frames when every input exposes RawTrieSpans, virtual
+// TrieIterators otherwise — with every deepest level drained
+// block-at-a-time into a columnar ResultBatch. Each workload here must
+// reproduce, byte for byte and counter for counter, the record the
+// retired row-at-a-time scalar engine left in
+// tests/golden/engine_counters.txt (see tests/golden.h): under the raw
+// policy, under the virtual policy (inputs wrapped in
+// VirtualOnlyIterator, with and without raw level spans), at every
+// compiled SIMD dispatch level, serial and sharded. The wide fixtures
+// have per-prefix deepest runs and outputs beyond one batch, so partial
+// PushRun splits and multi-block drains stay covered. Also covers the
+// ResultBatch / Relation::AppendColumnBlock substrate directly.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +26,7 @@
 #include "relational/intersect_kernels.h"
 #include "relational/result_batch.h"
 #include "relational/trie.h"
+#include "tests/golden.h"
 #include "tests/test_util.h"
 #include "workload/adversarial.h"
 #include "workload/paper_example.h"
@@ -29,27 +35,133 @@
 namespace xjoin {
 namespace {
 
-const std::vector<int> kBatchSizes = {1, 7, 1024};
+using testing::ExpectGolden;
+using testing::VirtualOnlyIterator;
+
 const std::vector<int> kThreadCounts = {1, 4};
 
-// The deterministic counter families that must match exactly between
-// scalar and batched runs. Timing counters (plan.prepare_micros,
-// trie.build_micros) are excluded by construction.
-std::map<std::string, int64_t> DeterministicCounters(const Metrics& m) {
-  std::map<std::string, int64_t> out;
-  for (const auto& [name, value] : m.counters()) {
-    if (name.rfind("gj.", 0) == 0 || name.rfind("validate.", 0) == 0 ||
-        name.rfind("xjoin.", 0) == 0) {
-      out[name] = value;
-    }
+// How the inputs are presented to the engine: as-is (plain CSR tries
+// take the raw policy), or wrapped so the virtual policy runs — with
+// raw level spans still visible to its deepest-level kernel, or with
+// every raw hook hidden so it leapfrogs through the virtual protocol.
+enum Presentation { kAsIs, kVirtualSpans, kVirtual };
+constexpr Presentation kPresentations[] = {kAsIs, kVirtualSpans, kVirtual};
+
+const char* PresentationName(Presentation p) {
+  switch (p) {
+    case kAsIs:
+      return "as-is";
+    case kVirtualSpans:
+      return "virtual+spans";
+    case kVirtual:
+      return "virtual";
   }
-  return out;
+  return "?";
 }
 
-void ExpectByteIdentical(const Relation& scalar, const Relation& batched) {
-  ASSERT_EQ(scalar.schema().attributes(), batched.schema().attributes());
-  ASSERT_EQ(scalar.num_rows(), batched.num_rows());
-  EXPECT_EQ(scalar.ToTuples(), batched.ToTuples());
+// Pins the SIMD dispatch override for a scope, restoring on exit.
+class DispatchOverrideGuard {
+ public:
+  explicit DispatchOverrideGuard(SimdLevel level) {
+    SetSimdDispatchOverride(level);
+  }
+  ~DispatchOverrideGuard() { ClearSimdDispatchOverride(); }
+};
+
+// Every dispatch level compiled into this binary and runnable here.
+std::vector<SimdLevel> RunnableLevels() {
+  std::vector<SimdLevel> levels;
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    if (IntersectKernelFor(level) == nullptr) continue;
+    if (level > DetectedSimdLevel()) continue;
+    levels.push_back(level);
+  }
+  return levels;
+}
+
+Relation MakeRelation(std::vector<Tuple> rows,
+                      const std::vector<std::string>& attrs) {
+  auto schema = Schema::Make(attrs);
+  return *Relation::FromTuples(*schema, std::move(rows));
+}
+
+// Tries plus root iterators over a set of relations.
+struct TrieSet {
+  std::vector<std::unique_ptr<RelationTrie>> tries;
+  std::vector<std::unique_ptr<TrieIterator>> iters;
+  std::vector<JoinInput> inputs;
+
+  void Add(const std::string& name, const Relation& rel,
+           const std::vector<std::string>& order) {
+    auto trie = RelationTrie::Build(rel, order);
+    ASSERT_TRUE(trie.ok()) << trie.status().ToString();
+    tries.push_back(std::make_unique<RelationTrie>(*std::move(trie)));
+    iters.push_back(tries.back()->NewIterator());
+    inputs.push_back(JoinInput{name, order, nullptr});
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      inputs[i].iterator = iters[i].get();
+    }
+  }
+};
+
+// Runs GenericJoin over `inputs` at threads {1, 4}, every presentation,
+// and every dispatch level, holding each run to golden record
+// "<name>/t<threads>".
+void ExpectJoinGolden(const std::string& name,
+                      const std::vector<JoinInput>& inputs,
+                      const GenericJoinOptions& base) {
+  for (int threads : kThreadCounts) {
+    const std::string record = name + "/t" + std::to_string(threads);
+    for (SimdLevel level : RunnableLevels()) {
+      DispatchOverrideGuard guard(level);
+      for (Presentation p : kPresentations) {
+        std::vector<std::unique_ptr<TrieIterator>> wrappers;
+        std::vector<JoinInput> run = inputs;
+        if (p != kAsIs) {
+          for (JoinInput& in : run) {
+            wrappers.push_back(std::make_unique<VirtualOnlyIterator>(
+                in.iterator, p == kVirtualSpans));
+            in.iterator = wrappers.back().get();
+          }
+        }
+        GenericJoinOptions opts = base;
+        opts.num_threads = threads;
+        Metrics m;
+        opts.metrics = &m;
+        auto out = GenericJoin(run, opts);
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        SCOPED_TRACE(std::string("level=") + SimdLevelName(level) +
+                     " inputs=" + PresentationName(p));
+        ExpectGolden(record, *out, m);
+      }
+    }
+  }
+}
+
+// Runs ExecuteXJoin at threads {1, 4} and every dispatch level, holding
+// each run to golden record "<name>/t<threads>".
+void ExpectXJoinGolden(const std::string& name, const MultiModelQuery& query,
+                       const XJoinOptions& base) {
+  for (int threads : kThreadCounts) {
+    const std::string record = name + "/t" + std::to_string(threads);
+    for (SimdLevel level : RunnableLevels()) {
+      DispatchOverrideGuard guard(level);
+      XJoinOptions opts = base;
+      opts.num_threads = threads;
+      Metrics m;
+      opts.metrics = &m;
+      auto out = ExecuteXJoin(query, opts);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      SCOPED_TRACE(std::string("level=") + SimdLevelName(level));
+      ExpectGolden(record, *out, m);
+    }
+  }
+}
+
+GenericJoinOptions OrderOptions(std::vector<std::string> order) {
+  GenericJoinOptions opts;
+  opts.attribute_order = std::move(order);
+  return opts;
 }
 
 // --- substrate: ResultBatch and AppendColumnBlock ------------------------
@@ -102,119 +214,52 @@ TEST(RelationTest, AppendColumnBlockMatchesAppendRow) {
   EXPECT_EQ(by_row.ToTuples(), by_block.ToTuples());
 }
 
-// --- engine level: GenericJoin over relation tries -----------------------
-
-// Triangle join R(A,B) x S(B,C) x T(A,C): the deepest level has two CSR
-// participants, so batch_size > 0 engages the devirtualized raw-cursor
-// kernel.
-struct TriangleFixture {
-  std::optional<RelationTrie> tr, ts, tt;
-  std::unique_ptr<TrieIterator> ir, is, it;
-
-  explicit TriangleFixture(int n) {
-    auto mk = [](std::vector<Tuple> t, std::vector<std::string> attrs) {
-      auto s = Schema::Make(attrs);
-      return *Relation::FromTuples(*s, std::move(t));
-    };
-    std::vector<Tuple> r_rows, s_rows, t_rows;
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if ((i * 7 + j * 3) % 5 == 0) r_rows.push_back({i, j});
-        if ((i * 5 + j * 2) % 4 == 0) s_rows.push_back({i, j});
-        if ((i * 3 + j * 11) % 6 == 0) t_rows.push_back({i, j});
-      }
-    }
-    tr = *RelationTrie::Build(mk(r_rows, {"A", "B"}), {"A", "B"});
-    ts = *RelationTrie::Build(mk(s_rows, {"B", "C"}), {"B", "C"});
-    tt = *RelationTrie::Build(mk(t_rows, {"A", "C"}), {"A", "C"});
-    ir = tr->NewIterator();
-    is = ts->NewIterator();
-    it = tt->NewIterator();
-  }
-
-  std::vector<JoinInput> Inputs() {
-    return {{"R", {"A", "B"}, ir.get()},
-            {"S", {"B", "C"}, is.get()},
-            {"T", {"A", "C"}, it.get()}};
-  }
-};
-
-TEST(BatchedGenericJoinTest, TriangleMatchesScalarAtEveryBatchAndThread) {
-  TriangleFixture fx(20);
-  GenericJoinOptions scalar_opts;
-  scalar_opts.attribute_order = {"A", "B", "C"};
-  scalar_opts.batch_size = 0;  // batching defaults on; baseline opts out
-  Metrics scalar_m;
-  scalar_opts.metrics = &scalar_m;
-  auto scalar = GenericJoin(fx.Inputs(), scalar_opts);
-  ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-  ASSERT_GT(scalar->num_rows(), 0u);
-
-  for (int batch : kBatchSizes) {
-    for (int threads : kThreadCounts) {
-      GenericJoinOptions opts;
-      opts.attribute_order = {"A", "B", "C"};
-      opts.batch_size = batch;
-      opts.num_threads = threads;
-      Metrics m;
-      opts.metrics = &m;
-      auto batched = GenericJoin(fx.Inputs(), opts);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      SCOPED_TRACE("batch=" + std::to_string(batch) +
-                   " threads=" + std::to_string(threads));
-      ExpectByteIdentical(*scalar, *batched);
-      if (threads == 1) {
-        // Serial: every counter matches the scalar serial run exactly
-        // (sharded runs additionally report gj.shards etc.).
-        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
-      } else {
-        // Sharded: compare against the scalar run at the same thread
-        // count below; here the row-level counters still match.
-        EXPECT_EQ(m.Get("gj.output"), scalar_m.Get("gj.output"));
-        EXPECT_EQ(m.Get("gj.total_intermediate"),
-                  scalar_m.Get("gj.total_intermediate"));
-      }
-    }
+TEST(GoldenFixtureTest, FileIsPresentAndParsed) {
+  ASSERT_FALSE(testing::GoldenFixtures().empty());
+  for (const auto& [name, record] : testing::GoldenFixtures()) {
+    EXPECT_EQ(record.count("digest"), 1u) << name;
+    EXPECT_EQ(record.count("gj.output"), 1u) << name;
   }
 }
 
-TEST(BatchedGenericJoinTest, ShardedCountersMatchScalarSharded) {
-  TriangleFixture fx(20);
-  for (int threads : kThreadCounts) {
-    for (int shards : {3, 16}) {
-      GenericJoinOptions opts;
-      opts.attribute_order = {"A", "B", "C"};
-      opts.num_threads = threads;
-      opts.num_shards = shards;
-      opts.batch_size = 0;
-      Metrics scalar_m;
-      opts.metrics = &scalar_m;
-      auto scalar = GenericJoin(fx.Inputs(), opts);
-      ASSERT_TRUE(scalar.ok());
-      for (int batch : kBatchSizes) {
-        GenericJoinOptions bopts = opts;
-        bopts.batch_size = batch;
-        Metrics m;
-        bopts.metrics = &m;
-        auto batched = GenericJoin(fx.Inputs(), bopts);
-        ASSERT_TRUE(batched.ok());
-        SCOPED_TRACE("batch=" + std::to_string(batch) +
-                     " threads=" + std::to_string(threads) +
-                     " shards=" + std::to_string(shards));
-        ExpectByteIdentical(*scalar, *batched);
-        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
-      }
+// --- engine level: GenericJoin over relation tries -----------------------
+
+// Triangle join R(A,B) x S(B,C) x T(A,C): the deepest level intersects
+// two inputs, so the raw policy drains it through the SIMD kernel.
+TrieSet Triangle(int n) {
+  std::vector<Tuple> r_rows, s_rows, t_rows;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if ((i * 7 + j * 3) % 5 == 0) r_rows.push_back({i, j});
+      if ((i * 5 + j * 2) % 4 == 0) s_rows.push_back({i, j});
+      if ((i * 3 + j * 11) % 6 == 0) t_rows.push_back({i, j});
     }
+  }
+  TrieSet set;
+  set.Add("R", MakeRelation(r_rows, {"A", "B"}), {"A", "B"});
+  set.Add("S", MakeRelation(s_rows, {"B", "C"}), {"B", "C"});
+  set.Add("T", MakeRelation(t_rows, {"A", "C"}), {"A", "C"});
+  return set;
+}
+
+TEST(GoldenGenericJoinTest, Triangle) {
+  TrieSet fx = Triangle(20);
+  ExpectJoinGolden("gj/triangle20", fx.inputs, OrderOptions({"A", "B", "C"}));
+}
+
+TEST(GoldenGenericJoinTest, ShardedTriangle) {
+  TrieSet fx = Triangle(20);
+  for (int shards : {3, 16}) {
+    GenericJoinOptions opts = OrderOptions({"A", "B", "C"});
+    opts.num_shards = shards;
+    ExpectJoinGolden("gj/triangle20/s" + std::to_string(shards), fx.inputs,
+                     opts);
   }
 }
 
 // Composite (level-0 x level-1) sharding cuts and re-enters the deepest
-// level mid-range; the batched kernel must respect both bounds.
-TEST(BatchedGenericJoinTest, CompositeShardingMatchesScalar) {
-  auto mk = [](std::vector<Tuple> t, std::vector<std::string> attrs) {
-    auto s = Schema::Make(attrs);
-    return *Relation::FromTuples(*s, std::move(t));
-  };
+// level mid-range; every drain must respect both bounds.
+TEST(GoldenGenericJoinTest, CompositeSharding) {
   std::vector<Tuple> r_rows, s_rows, t_rows;
   for (int a = 0; a < 2; ++a) {
     for (int b = 0; b < 40; ++b) {
@@ -229,49 +274,20 @@ TEST(BatchedGenericJoinTest, CompositeShardingMatchesScalar) {
   for (int a = 0; a < 2; ++a) {
     for (int c = 0; c < 6; ++c) t_rows.push_back({a, c});
   }
-  auto tr = RelationTrie::Build(mk(r_rows, {"A", "B"}), {"A", "B"});
-  auto ts = RelationTrie::Build(mk(s_rows, {"B", "C"}), {"B", "C"});
-  auto tt = RelationTrie::Build(mk(t_rows, {"A", "C"}), {"A", "C"});
-  auto ir = tr->NewIterator();
-  auto is = ts->NewIterator();
-  auto it = tt->NewIterator();
-  std::vector<JoinInput> inputs{{"R", {"A", "B"}, ir.get()},
-                                {"S", {"B", "C"}, is.get()},
-                                {"T", {"A", "C"}, it.get()}};
-
-  GenericJoinOptions base;
-  base.attribute_order = {"A", "B", "C"};
-  base.num_threads = 4;
-  base.num_shards = 8;
-  base.shard_depth = 2;
-  base.batch_size = 0;
-  Metrics scalar_m;
-  base.metrics = &scalar_m;
-  auto scalar = GenericJoin(inputs, base);
-  ASSERT_TRUE(scalar.ok());
-  ASSERT_EQ(scalar_m.Get("gj.shard_depth"), 2);
-
-  for (int batch : kBatchSizes) {
-    GenericJoinOptions opts = base;
-    opts.batch_size = batch;
-    Metrics m;
-    opts.metrics = &m;
-    auto batched = GenericJoin(inputs, opts);
-    ASSERT_TRUE(batched.ok());
-    SCOPED_TRACE("batch=" + std::to_string(batch));
-    ExpectByteIdentical(*scalar, *batched);
-    EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
-  }
+  TrieSet fx;
+  fx.Add("R", MakeRelation(r_rows, {"A", "B"}), {"A", "B"});
+  fx.Add("S", MakeRelation(s_rows, {"B", "C"}), {"B", "C"});
+  fx.Add("T", MakeRelation(t_rows, {"A", "C"}), {"A", "C"});
+  GenericJoinOptions opts = OrderOptions({"A", "B", "C"});
+  opts.num_shards = 8;
+  opts.shard_depth = 2;
+  ExpectJoinGolden("gj/composite/s8d2", fx.inputs, opts);
 }
 
 // Two-relation join R(A,B) x S(B,C): attribute C is covered by S alone,
-// so the deepest level takes the single-participant NextBlock drain —
-// the pure block-copy kernel.
-TEST(BatchedGenericJoinTest, SingleParticipantDeepestLevelDrain) {
-  auto mk = [](std::vector<Tuple> t, std::vector<std::string> attrs) {
-    auto s = Schema::Make(attrs);
-    return *Relation::FromTuples(*s, std::move(t));
-  };
+// so the deepest level takes the single-participant drain (NextBlock
+// on the virtual policy, array copies on the raw one).
+TEST(GoldenGenericJoinTest, TwoHopDrain) {
   std::vector<Tuple> r_rows, s_rows;
   for (int i = 0; i < 30; ++i) {
     for (int j = 0; j < 30; ++j) {
@@ -279,157 +295,136 @@ TEST(BatchedGenericJoinTest, SingleParticipantDeepestLevelDrain) {
       if ((i * 2 + j) % 4 != 0) s_rows.push_back({i, j});
     }
   }
-  auto tr = RelationTrie::Build(mk(r_rows, {"A", "B"}), {"A", "B"});
-  auto ts = RelationTrie::Build(mk(s_rows, {"B", "C"}), {"B", "C"});
-
-  GenericJoinOptions scalar_opts;
-  scalar_opts.attribute_order = {"A", "B", "C"};
-  scalar_opts.batch_size = 0;
-  Metrics scalar_m;
-  scalar_opts.metrics = &scalar_m;
-  auto ir = tr->NewIterator();
-  auto is = ts->NewIterator();
-  std::vector<JoinInput> inputs{{"R", {"A", "B"}, ir.get()},
-                                {"S", {"B", "C"}, is.get()}};
-  auto scalar = GenericJoin(inputs, scalar_opts);
-  ASSERT_TRUE(scalar.ok());
-  ASSERT_GT(scalar->num_rows(), 1000u);
-
-  for (int batch : kBatchSizes) {
-    for (int threads : kThreadCounts) {
-      GenericJoinOptions opts;
-      opts.attribute_order = {"A", "B", "C"};
-      opts.batch_size = batch;
-      opts.num_threads = threads;
-      Metrics m;
-      opts.metrics = &m;
-      auto batched = GenericJoin(inputs, opts);
-      ASSERT_TRUE(batched.ok());
-      SCOPED_TRACE("batch=" + std::to_string(batch) +
-                   " threads=" + std::to_string(threads));
-      ExpectByteIdentical(*scalar, *batched);
-      if (threads == 1) {
-        EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
-      }
-    }
-  }
+  TrieSet fx;
+  fx.Add("R", MakeRelation(r_rows, {"A", "B"}), {"A", "B"});
+  fx.Add("S", MakeRelation(s_rows, {"B", "C"}), {"B", "C"});
+  ExpectJoinGolden("gj/twohop30", fx.inputs, OrderOptions({"A", "B", "C"}));
 }
 
-// Pins the SIMD dispatch override for a scope, restoring on exit.
-class DispatchOverrideGuard {
- public:
-  explicit DispatchOverrideGuard(SimdLevel level) {
-    SetSimdDispatchOverride(level);
-  }
-  ~DispatchOverrideGuard() { ClearSimdDispatchOverride(); }
-};
-
-// The same join must produce byte-identical rows and identical
-// deterministic counters at every compiled SIMD dispatch level — the
-// kernels only accelerate each seek's interior search, never change the
-// jump sequence — across the batch-size and thread matrices.
-TEST(BatchedGenericJoinTest, DispatchMatrixMatchesForcedScalar) {
-  TriangleFixture fx(20);
-  GenericJoinOptions scalar_opts;
-  scalar_opts.attribute_order = {"A", "B", "C"};
-  scalar_opts.batch_size = 0;
-  Metrics scalar_m;
-  scalar_opts.metrics = &scalar_m;
-  auto scalar = GenericJoin(fx.Inputs(), scalar_opts);
-  ASSERT_TRUE(scalar.ok());
-  ASSERT_GT(scalar->num_rows(), 0u);
-
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
-    if (IntersectKernelFor(level) == nullptr) continue;  // not compiled in
-    if (level > DetectedSimdLevel()) continue;           // not runnable here
-    DispatchOverrideGuard guard(level);
-    for (int batch : kBatchSizes) {
-      for (int threads : kThreadCounts) {
-        GenericJoinOptions opts;
-        opts.attribute_order = {"A", "B", "C"};
-        opts.batch_size = batch;
-        opts.num_threads = threads;
-        Metrics m;
-        opts.metrics = &m;
-        auto batched = GenericJoin(fx.Inputs(), opts);
-        ASSERT_TRUE(batched.ok());
-        SCOPED_TRACE(std::string("level=") + SimdLevelName(level) +
-                     " batch=" + std::to_string(batch) +
-                     " threads=" + std::to_string(threads));
-        ExpectByteIdentical(*scalar, *batched);
-        if (threads == 1) {
-          EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
-        } else {
-          EXPECT_EQ(m.Get("gj.output"), scalar_m.Get("gj.output"));
-          EXPECT_EQ(m.Get("gj.total_intermediate"),
-                    scalar_m.Get("gj.total_intermediate"));
-        }
-      }
+// Wide two-hop: every B has 1500..3000 C values (and B = 2 also carries
+// the INT64_MAX key an exclusive NextBlock bound cannot reach), so one
+// prefix's run spans several blocks and runs split across batch
+// boundaries.
+TEST(GoldenGenericJoinTest, WideTwoHopDrain) {
+  std::vector<Tuple> r_rows, s_rows;
+  for (int a = 0; a < 4; ++a) {
+    for (int b = 0; b < 6; ++b) {
+      if ((a + b) % 2 == 0) r_rows.push_back({a, b});
     }
   }
+  for (int b = 0; b < 6; ++b) {
+    for (int c = 0; c < 1500 + 300 * b; ++c) s_rows.push_back({b, c});
+  }
+  s_rows.push_back({2, std::numeric_limits<int64_t>::max()});
+  TrieSet fx;
+  fx.Add("R", MakeRelation(r_rows, {"A", "B"}), {"A", "B"});
+  fx.Add("S", MakeRelation(s_rows, {"B", "C"}), {"B", "C"});
+  ExpectJoinGolden("gj/twohop_wide", fx.inputs, OrderOptions({"A", "B", "C"}));
+}
+
+// Wide triangle: every (a, b) prefix intersects ~4500 even C values
+// with ~3000 multiples of 3, a 1501-key deepest run per prefix — the
+// kernel drain fills and resumes across blocks.
+TrieSet WideTriangle() {
+  std::vector<Tuple> r_rows, s_rows, t_rows;
+  for (int a = 0; a < 4; ++a) {
+    for (int b = 0; b < 4; ++b) r_rows.push_back({a, b});
+  }
+  for (int b = 0; b < 4; ++b) {
+    for (int c = 0; c <= 9000; c += 2) s_rows.push_back({b, c});
+  }
+  for (int a = 0; a < 4; ++a) {
+    for (int c = 0; c <= 9000; c += 3) t_rows.push_back({a, c});
+  }
+  TrieSet set;
+  set.Add("R", MakeRelation(r_rows, {"A", "B"}), {"A", "B"});
+  set.Add("S", MakeRelation(s_rows, {"B", "C"}), {"B", "C"});
+  set.Add("T", MakeRelation(t_rows, {"A", "C"}), {"A", "C"});
+  return set;
+}
+
+TEST(GoldenGenericJoinTest, WideTriangle) {
+  TrieSet fx = WideTriangle();
+  ExpectJoinGolden("gj/triangle_wide", fx.inputs,
+                   OrderOptions({"A", "B", "C"}));
+}
+
+// The same with a prefix filter: prunes one level-1 key outright and
+// drops deepest bindings one by one, so wide runs take the per-key
+// bind + filter path.
+bool WideFilter(size_t depth, const std::vector<int64_t>& prefix, Metrics*) {
+  if (depth == 1) return prefix[1] != 2;
+  if (depth == 2) return prefix[2] % 7 != 3;
+  return true;
+}
+
+TEST(GoldenGenericJoinTest, WideTriangleFiltered) {
+  TrieSet fx = WideTriangle();
+  GenericJoinOptions opts = OrderOptions({"A", "B", "C"});
+  opts.prefix_filter = WideFilter;
+  ExpectJoinGolden("gj/triangle_wide_filtered", fx.inputs, opts);
+}
+
+// One-attribute plans: the deepest level is level 0, so shard ranges
+// cut the drain itself. Both relations end in INT64_MAX.
+TEST(GoldenGenericJoinTest, UnaryDrainAndIntersection) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<Tuple> u_rows, v_rows;
+  for (int64_t k = 0; k < 9000; k += 2) u_rows.push_back({k});
+  for (int64_t k = 0; k < 9000; k += 3) v_rows.push_back({k});
+  u_rows.push_back({kMax});
+  v_rows.push_back({kMax});
+  TrieSet single;
+  single.Add("U", MakeRelation(u_rows, {"A"}), {"A"});
+  ExpectJoinGolden("gj/unary_single", single.inputs, OrderOptions({"A"}));
+  TrieSet pair;
+  pair.Add("U", MakeRelation(u_rows, {"A"}), {"A"});
+  pair.Add("V", MakeRelation(v_rows, {"A"}), {"A"});
+  ExpectJoinGolden("gj/unary_pair", pair.inputs, OrderOptions({"A"}));
+}
+
+TEST(GoldenGenericJoinTest, AgmTightTriangle) {
+  auto inst = MakeAgmTightInstance({{"A", "B"}, {"B", "C"}, {"C", "A"}}, 64);
+  ASSERT_TRUE(inst.ok());
+  TrieSet fx;
+  fx.Add("R1", *inst->relations[0], {"A", "B"});
+  fx.Add("R2", *inst->relations[1], {"B", "C"});
+  fx.Add("R3", *inst->relations[2], {"A", "C"});
+  ExpectJoinGolden("gj/agm64", fx.inputs, OrderOptions({"A", "B", "C"}));
 }
 
 // --- XJoin level: paper, adversarial, and XMark workloads ----------------
 
-// Runs `query` scalar and batched across the batch/thread matrix and
-// demands byte-identical relations plus identical deterministic
-// counters (per thread count — sharded runs add gj.shards et al., so
-// scalar and batched are compared at matching thread counts).
-void ExpectBatchedXJoinMatchesScalar(const MultiModelQuery& query,
-                                     XJoinOptions base) {
-  for (int threads : kThreadCounts) {
-    XJoinOptions scalar_opts = base;
-    scalar_opts.num_threads = threads;
-    scalar_opts.batch_size = 0;
-    Metrics scalar_m;
-    scalar_opts.metrics = &scalar_m;
-    auto scalar = ExecuteXJoin(query, scalar_opts);
-    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-
-    for (int batch : kBatchSizes) {
-      XJoinOptions opts = base;
-      opts.num_threads = threads;
-      opts.batch_size = batch;
-      Metrics m;
-      opts.metrics = &m;
-      auto batched = ExecuteXJoin(query, opts);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      ExpectByteIdentical(*scalar, *batched);
-      EXPECT_EQ(DeterministicCounters(m), DeterministicCounters(scalar_m));
-    }
-  }
-}
-
-TEST(BatchedXJoinTest, PaperExampleWorkloads) {
+TEST(GoldenXJoinTest, PaperExampleWorkloads) {
   for (PaperSchema schema :
        {PaperSchema::kExample33, PaperSchema::kExample34}) {
     for (PaperDataMode mode :
          {PaperDataMode::kAdversarial, PaperDataMode::kRandom}) {
       PaperInstance inst = MakePaperInstance(5, schema, mode);
-      ExpectBatchedXJoinMatchesScalar(inst.Query(), XJoinOptions{});
+      std::string name = "xjoin/paper";
+      name += schema == PaperSchema::kExample33 ? "33" : "34";
+      name += mode == PaperDataMode::kAdversarial ? "/adversarial" : "/random";
+      ExpectXJoinGolden(name, inst.Query(), XJoinOptions{});
     }
   }
 }
 
-TEST(BatchedXJoinTest, PaperExampleWithPruningAndMaterializedPaths) {
+TEST(GoldenXJoinTest, PaperExampleWithPruningAndMaterializedPaths) {
   PaperInstance inst = MakePaperInstance(5, PaperSchema::kExample34,
                                          PaperDataMode::kRandom);
   MultiModelQuery q = inst.Query();
   // structural_pruning exercises the per-binding filter inside every
-  // batched kernel; materialize_paths turns all inputs into CSR tries,
-  // exercising the devirtualized path end to end.
+  // drain; materialize_paths turns all inputs into CSR tries, so the
+  // raw policy runs end to end.
   XJoinOptions pruning;
   pruning.structural_pruning = true;
-  ExpectBatchedXJoinMatchesScalar(q, pruning);
+  ExpectXJoinGolden("xjoin/paper34/random/pruning", q, pruning);
   XJoinOptions materialized;
   materialized.materialize_paths = true;
-  ExpectBatchedXJoinMatchesScalar(q, materialized);
+  ExpectXJoinGolden("xjoin/paper34/random/materialized", q, materialized);
 }
 
-TEST(BatchedXJoinTest, AdversarialAgmTightWorkload) {
+TEST(GoldenXJoinTest, AdversarialAgmTightWorkload) {
   auto inst = MakeAgmTightInstance({{"A", "B"}, {"B", "C"}, {"C", "A"}}, 64);
   ASSERT_TRUE(inst.ok());
   MultiModelQuery q;
@@ -437,20 +432,20 @@ TEST(BatchedXJoinTest, AdversarialAgmTightWorkload) {
     q.relations.push_back(
         {"R" + std::to_string(i + 1), inst->relations[i].get()});
   }
-  ExpectBatchedXJoinMatchesScalar(q, XJoinOptions{});
+  ExpectXJoinGolden("xjoin/agm64", q, XJoinOptions{});
 }
 
-TEST(BatchedXJoinTest, XMarkWorkloads) {
+TEST(GoldenXJoinTest, XMarkWorkloads) {
   XMarkOptions opts;
   opts.num_items = 40;
   opts.num_persons = 25;
   opts.num_open_auctions = 30;
   opts.num_closed_auctions = 25;
   XMarkInstance inst = MakeXMark(opts);
-  for (MultiModelQuery q :
-       {inst.ClosedAuctionQuery(), inst.OpenAuctionQuery()}) {
-    ExpectBatchedXJoinMatchesScalar(q, XJoinOptions{});
-  }
+  ExpectXJoinGolden("xjoin/xmark/closed", inst.ClosedAuctionQuery(),
+                    XJoinOptions{});
+  ExpectXJoinGolden("xjoin/xmark/open", inst.OpenAuctionQuery(),
+                    XJoinOptions{});
 }
 
 }  // namespace

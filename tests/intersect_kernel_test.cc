@@ -1,5 +1,5 @@
 // Kernel conformance: every compiled intersection-kernel variant
-// (scalar / SSE4.2 / AVX2) against std::lower_bound and
+// (scalar / AVX2) against std::lower_bound and
 // std::set_intersection oracles on randomized sorted duplicate-free
 // arrays (the CSR level invariant) — empty inputs, no overlap, full
 // overlap, unaligned starting offsets, tail lengths 0–16 — plus the
@@ -23,8 +23,7 @@ namespace {
 
 std::vector<const IntersectKernel*> CompiledKernels() {
   std::vector<const IntersectKernel*> kernels;
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     const IntersectKernel* kernel = IntersectKernelFor(level);
     if (kernel != nullptr) kernels.push_back(kernel);
   }
@@ -258,22 +257,9 @@ TEST(IntersectKernelTest, DispatchOverrideClampsToDetectedLevel) {
   EXPECT_LE(static_cast<int>(ActiveIntersectKernel().level),
             static_cast<int>(detected));
 
-  // Clearing restores environment/detection policy, still <= detected.
+  // Clearing restores the detected level.
   ClearSimdDispatchOverride();
-  EXPECT_LE(static_cast<int>(ActiveSimdLevel()),
-            static_cast<int>(detected));
-}
-
-TEST(IntersectKernelTest, SimdLevelNamesRoundTrip) {
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
-    SimdLevel parsed = SimdLevel::kScalar;
-    EXPECT_TRUE(ParseSimdLevelName(SimdLevelName(level), &parsed));
-    EXPECT_EQ(parsed, level);
-  }
-  SimdLevel parsed = SimdLevel::kAvx2;
-  EXPECT_FALSE(ParseSimdLevelName("bogus", &parsed));
-  EXPECT_EQ(parsed, SimdLevel::kAvx2);  // untouched on failure
+  EXPECT_EQ(ActiveSimdLevel(), detected);
 }
 
 }  // namespace

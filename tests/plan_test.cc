@@ -14,6 +14,8 @@
 #include "common/string_util.h"
 #include "core/database.h"
 #include "core/xjoin.h"
+#include "relational/result_batch.h"
+#include "tests/golden.h"
 
 namespace xjoin {
 namespace {
@@ -112,46 +114,49 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   XJoinOptions pruning;
   pruning.structural_pruning = true;
   ASSERT_TRUE(db_.QueryXJoin(q_, pruning).ok());
-  // Batch size is on by default, so the scalar opt-out is the variant
-  // that must fingerprint separately.
-  XJoinOptions scalar;
-  scalar.batch_size = 0;
-  ASSERT_TRUE(db_.QueryXJoin(q_, scalar).ok());
+  XJoinOptions materialized;
+  materialized.materialize_paths = true;
+  ASSERT_TRUE(db_.QueryXJoin(q_, materialized).ok());
   EXPECT_EQ(db_.PlanCacheSize(), 4u);
   EXPECT_EQ(db_.plan_cache_hits(), 0);
   EXPECT_EQ(db_.plan_cache_misses(), 4);
   // Re-running each variant hits its own entry.
   ASSERT_TRUE(db_.QueryXJoin(q_, threaded).ok());
-  ASSERT_TRUE(db_.QueryXJoin(q_, scalar).ok());
+  ASSERT_TRUE(db_.QueryXJoin(q_, materialized).ok());
   EXPECT_EQ(db_.plan_cache_hits(), 2);
   EXPECT_EQ(db_.PlanCacheSize(), 4u);
 }
 
 TEST_F(PlanTest, ExplainShowsExecutionMode) {
-  // Batched execution is the default (block = kDefaultResultBatchCapacity)
-  // and renders the live SIMD dispatch level plus a per-level kernel;
-  // batch_size = 0 opts back into the legacy scalar mode.
-  auto default_text = db_.ExplainXJoin(q_);
-  ASSERT_TRUE(default_text.ok());
-  EXPECT_NE(default_text->find(
-                "execution: batched (columnar, block=" +
-                std::to_string(kDefaultResultBatchCapacity)),
+  // Execution is always batched (block = kDefaultResultBatchCapacity)
+  // and renders the live SIMD dispatch level plus a per-level kernel.
+  auto text = db_.ExplainXJoin(q_);
+  ASSERT_TRUE(text.ok());
+  EXPECT_NE(text->find("execution: batched (columnar, block=" +
+                       std::to_string(kDefaultResultBatchCapacity)),
             std::string::npos);
-  EXPECT_NE(default_text->find("simd dispatch: "), std::string::npos);
-  EXPECT_NE(default_text->find("kernel "), std::string::npos);
-  XJoinOptions scalar;
-  scalar.batch_size = 0;
-  auto scalar_text = db_.ExplainXJoin(q_, scalar);
-  ASSERT_TRUE(scalar_text.ok());
-  EXPECT_NE(scalar_text->find("execution: scalar"), std::string::npos);
-  EXPECT_NE(scalar_text->find("kernel scalar"), std::string::npos);
-  EXPECT_EQ(scalar_text->find("simd dispatch: "), std::string::npos);
-  XJoinOptions batched;
-  batched.batch_size = 512;
-  auto batched_text = db_.ExplainXJoin(q_, batched);
-  ASSERT_TRUE(batched_text.ok());
-  EXPECT_NE(batched_text->find("execution: batched (columnar, block=512"),
-            std::string::npos);
+  EXPECT_NE(text->find("simd dispatch: "), std::string::npos);
+  EXPECT_NE(text->find("kernel "), std::string::npos);
+  EXPECT_EQ(text->find("kernel scalar"), std::string::npos);
+}
+
+// Cold and cached executions through the database reproduce the golden
+// record of the retired scalar engine (tests/golden.h), serial and
+// sharded.
+TEST_F(PlanTest, ExecutionMatchesGoldenRecord) {
+  for (int threads : {1, 4}) {
+    for (int pass = 0; pass < 2; ++pass) {
+      XJoinOptions options;
+      options.num_threads = threads;
+      Metrics metrics;
+      options.metrics = &metrics;
+      auto result = db_.QueryXJoin(q_, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      SCOPED_TRACE("pass=" + std::to_string(pass));
+      testing::ExpectGolden("plan/q/t" + std::to_string(threads), *result,
+                            metrics);
+    }
+  }
 }
 
 TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {

@@ -6,11 +6,13 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/dictionary.h"
 #include "common/random.h"
 #include "relational/relation.h"
+#include "relational/trie_iterator.h"
 #include "xml/document.h"
 #include "xml/node_index.h"
 #include "xml/twig.h"
@@ -102,6 +104,50 @@ inline Relation RandomRelation(Rng* rng, Dictionary* dict,
 /// first-appearance order. Reference implementation for differential
 /// tests.
 Relation NaiveNaturalJoin(const std::vector<const Relation*>& inputs);
+
+/// Forwarding trie iterator that hides the raw-CSR hooks of the one it
+/// wraps: RawTrieSpans always declines, and RawLevelSpan declines unless
+/// `expose_level_span` is set. Wrapping every CSR input forces the
+/// generic-join engine onto its virtual-cursor policy (deepest levels
+/// then drain through NextBlock, the raw-span kernel, or the virtual
+/// leapfrog), so one fixture can hold both cursor policies to the same
+/// results and counters. Clone() wraps a clone of the inner iterator,
+/// which keeps sharded runs on the virtual policy too.
+class VirtualOnlyIterator : public TrieIterator {
+ public:
+  VirtualOnlyIterator(TrieIterator* inner, bool expose_level_span)
+      : inner_(inner), expose_level_span_(expose_level_span) {}
+  VirtualOnlyIterator(std::unique_ptr<TrieIterator> owned,
+                      bool expose_level_span)
+      : owned_(std::move(owned)),
+        inner_(owned_.get()),
+        expose_level_span_(expose_level_span) {}
+
+  int arity() const override { return inner_->arity(); }
+  int depth() const override { return inner_->depth(); }
+  void Open() override { inner_->Open(); }
+  void Up() override { inner_->Up(); }
+  bool AtEnd() const override { return inner_->AtEnd(); }
+  int64_t Key() const override { return inner_->Key(); }
+  void Next() override { inner_->Next(); }
+  void Seek(int64_t key) override { inner_->Seek(key); }
+  int64_t EstimateKeys() const override { return inner_->EstimateKeys(); }
+  size_t NextBlock(int64_t hi_exclusive, KeyBlock* out) override {
+    return inner_->NextBlock(hi_exclusive, out);
+  }
+  bool RawLevelSpan(RawKeySpan* out) const override {
+    return expose_level_span_ && inner_->RawLevelSpan(out);
+  }
+  std::unique_ptr<TrieIterator> Clone() const override {
+    return std::make_unique<VirtualOnlyIterator>(inner_->Clone(),
+                                                 expose_level_span_);
+  }
+
+ private:
+  std::unique_ptr<TrieIterator> owned_;
+  TrieIterator* inner_;
+  bool expose_level_span_;
+};
 
 }  // namespace xjoin::testing
 

@@ -12,9 +12,10 @@
 //     delta-patch path that keeps cached tries and plans alive) and
 //     (b) a twin database that does a full UpdateRelation rebuild from
 //     the oracle contents. Every query in the stream must return
-//     byte-identical rows on both databases, across result batching
-//     {off, 7} x threads {1, 4}, including seeds that straddle the
-//     compaction trigger.
+//     byte-identical rows on both databases at threads {1, 4},
+//     including seeds that straddle the compaction trigger, and each
+//     run must match the golden record of the retired scalar engine
+//     (tests/golden.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,11 +25,13 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "core/database.h"
 #include "relational/operators.h"
 #include "relational/relation.h"
 #include "relational/trie.h"
+#include "tests/golden.h"
 
 namespace xjoin {
 namespace {
@@ -218,22 +221,27 @@ class DbUpdateStreamTest : public ::testing::TestWithParam<DbStreamCase> {
   }
 
   // Runs `text` on both databases under one execution config and
-  // demands byte-identical rows (same contents, same order).
-  void ExpectIdentical(const std::string& text, int batch_size,
-                       int num_threads, const char* context) {
+  // demands byte-identical rows (same contents, same order), each also
+  // matching its golden record "<golden>/<db>" (tests/golden.h).
+  void ExpectIdentical(const std::string& text, int num_threads,
+                       const std::string& golden) {
     QueryOptions options;
-    options.xjoin.batch_size = batch_size;
     options.xjoin.num_threads = num_threads;
     // Pin the expansion order so both sides run the same plan shape —
     // the differential claim is about *maintenance*, not the order
     // heuristic's response to estimate drift.
     options.xjoin.attribute_order = {"A", "B", "C"};
+    Metrics delta_metrics;
+    options.xjoin.metrics = &delta_metrics;
     auto a = delta_db_.Query(text, options);
+    Metrics rebuild_metrics;
+    options.xjoin.metrics = &rebuild_metrics;
     auto b = rebuild_db_.Query(text, options);
-    ASSERT_TRUE(a.ok()) << context << ": " << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << context << ": " << b.status().ToString();
-    ASSERT_EQ(a->ToTuples(), b->ToTuples())
-        << context << " batch=" << batch_size << " threads=" << num_threads;
+    ASSERT_TRUE(a.ok()) << golden << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << golden << ": " << b.status().ToString();
+    ASSERT_EQ(a->ToTuples(), b->ToTuples()) << golden;
+    testing::ExpectGolden(golden + "/delta", *a, delta_metrics);
+    testing::ExpectGolden(golden + "/rebuild", *b, rebuild_metrics);
   }
 
   MultiModelDatabase delta_db_;
@@ -259,11 +267,11 @@ TEST_P(DbUpdateStreamTest, InterleavedStreamIsByteIdentical) {
     } else {
       ApplyRound(&rng, "S", s_schema_, &s_oracle_);
     }
-    std::string context = "round " + std::to_string(round);
-    for (int batch : {0, 7}) {
-      for (int threads : {1, 4}) {
-        ExpectIdentical(join, batch, threads, context.c_str());
-      }
+    for (int threads : {1, 4}) {
+      ExpectIdentical(join, threads,
+                      "update/seed" + std::to_string(param.seed) + "/r" +
+                          std::to_string(round) + "/t" +
+                          std::to_string(threads));
     }
   }
 
