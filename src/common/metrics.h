@@ -6,8 +6,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace xjoin {
 
@@ -15,23 +17,28 @@ namespace xjoin {
 /// in which case recording is a no-op) and bump counters as they run.
 class Metrics {
  public:
-  /// Adds `delta` to counter `name`, creating it at 0 if absent.
-  void Add(const std::string& name, int64_t delta) { counters_[name] += delta; }
+  /// Counters by name; the transparent comparator looks names up
+  /// without building a std::string key.
+  using CounterMap = std::map<std::string, int64_t, std::less<>>;
+
+  /// Adds `delta` to counter `name`, creating it at 0 if absent. Only the
+  /// first Add of a name allocates its key.
+  void Add(std::string_view name, int64_t delta) { Slot(name) += delta; }
 
   /// Sets counter `name` to max(current, value); used for high-watermarks.
-  void RecordMax(const std::string& name, int64_t value) {
-    auto& slot = counters_[name];
+  void RecordMax(std::string_view name, int64_t value) {
+    int64_t& slot = Slot(name);
     if (value > slot) slot = value;
   }
 
   /// Current value; 0 for unknown counters.
-  int64_t Get(const std::string& name) const {
+  int64_t Get(std::string_view name) const {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
 
   /// All counters in name order (stable output for tests and benches).
-  const std::map<std::string, int64_t>& counters() const { return counters_; }
+  const CounterMap& counters() const { return counters_; }
 
   /// Adds every counter of `other` into this bag. This is an addition
   /// merge: exact for Add-style counters, which is all the per-shard /
@@ -47,11 +54,21 @@ class Metrics {
   std::string ToString() const;
 
  private:
-  std::map<std::string, int64_t> counters_;
+  int64_t& Slot(std::string_view name) {
+    auto it = counters_.lower_bound(name);
+    if (it == counters_.end() || it->first != name) {
+      it = counters_.emplace_hint(it, std::string(name), 0);
+    }
+    return it->second;
+  }
+
+  CounterMap counters_;
 };
 
-/// Helper: bump a possibly-null Metrics.
-inline void MetricsAdd(Metrics* m, const std::string& name, int64_t delta) {
+/// Helper: bump a possibly-null Metrics. Takes a view, so a call with no
+/// bag attached builds no key (names past the small-string limit, such
+/// as "validate.candidates", would otherwise allocate on every call).
+inline void MetricsAdd(Metrics* m, std::string_view name, int64_t delta) {
   if (m != nullptr) m->Add(name, delta);
 }
 

@@ -644,7 +644,7 @@ class Engine {
 
   const std::vector<JoinInput>& inputs_;
   const std::vector<LevelPlan>& plan_;
-  const PrefixFilter& filter_;
+  PrefixFilter filter_;  // this engine's own copy (see PrefixFilter)
   Metrics* filter_metrics_;
   Relation* out_;
   BudgetTracker* budget_;   // null when the query has no finite budget

@@ -59,9 +59,11 @@ struct JoinInput {
 /// no metrics). Filters record their own counters through it, which
 /// keeps them exact — not silently dropped — in parallel runs.
 ///
-/// When the join runs sharded (num_threads/num_shards > 1), the filter is
-/// invoked concurrently from multiple shard threads (each with its own
-/// prefix buffer and metrics bag) and must otherwise be thread-safe.
+/// Every engine run — the serial run, or each shard of a sharded one —
+/// invokes its own copy of the filter, so state a callable captures by
+/// value (XJoin's validation scratch) is private to the shard. Shards
+/// run concurrently, so anything the filter reaches by reference must
+/// be thread-safe.
 using PrefixFilter = std::function<bool(
     size_t depth, const std::vector<int64_t>& prefix, Metrics* metrics)>;
 
@@ -70,8 +72,8 @@ struct GenericJoinOptions {
   /// Global expansion order (the paper's PA). Every attribute of every
   /// input must appear exactly once.
   std::vector<std::string> attribute_order;
-  /// Optional pruning hook (may be empty). Must be thread-safe when the
-  /// join runs with more than one shard.
+  /// Optional pruning hook (may be empty); copied once per engine run
+  /// (see PrefixFilter).
   PrefixFilter prefix_filter;
   /// Number of worker threads. <= 1 runs the serial executor; > 1 runs
   /// the sharded driver (see num_shards) on up to this many threads.

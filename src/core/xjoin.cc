@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/generic_join.h"
@@ -10,6 +9,60 @@
 #include "relational/trie.h"
 
 namespace xjoin {
+
+namespace {
+
+// One validation scratch per twig of the plan.
+std::vector<TwigStructureValidator::Scratch> NewScratch(
+    const XJoinPlan& plan) {
+  std::vector<TwigStructureValidator::Scratch> scratch;
+  scratch.reserve(plan.twigs.size());
+  for (const XJoinPlan::TwigExec& exec : plan.twigs) {
+    scratch.emplace_back(exec.validator);
+  }
+  return scratch;
+}
+
+// The in-join partial validation (plan.structural_pruning): after each
+// binding, re-checks every twig that owns the newly bound attribute
+// against the prefix bound so far. GenericJoin copies the filter once
+// per engine run, so each shard validates in its own scratch.
+class PrefixValidator {
+ public:
+  explicit PrefixValidator(const XJoinPlan& plan)
+      : plan_(&plan), scratch_(NewScratch(plan)) {}
+
+  bool operator()(size_t depth, const std::vector<int64_t>& prefix,
+                  Metrics* metrics) {
+    for (size_t t = 0; t < plan_->twigs.size(); ++t) {
+      const XJoinPlan::TwigExec& exec = plan_->twigs[t];
+      TwigStructureValidator::Scratch& scratch = scratch_[t];
+      bool relevant = false;
+      for (size_t q = 0; q < exec.order_pos_of_node.size(); ++q) {
+        const size_t pos = exec.order_pos_of_node[q];
+        const TwigNodeId node = static_cast<TwigNodeId>(q);
+        if (pos <= depth) {
+          scratch.Bind(node, prefix[pos]);
+        } else {
+          scratch.Unbind(node);
+        }
+        if (pos == depth) relevant = true;
+      }
+      if (!relevant) continue;
+      if (!exec.validator.ExistsEmbedding(&scratch, metrics)) {
+        MetricsAdd(metrics, "xjoin.pruned", 1);
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  const XJoinPlan* plan_;
+  std::vector<TwigStructureValidator::Scratch> scratch_;  // one per twig
+};
+
+}  // namespace
 
 Result<Relation> ExecutePlan(const XJoinPlan& plan,
                              const XJoinOptions& options) {
@@ -48,10 +101,11 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     inputs.push_back(JoinInput{path.name, path.attrs, iterators.back().get()});
   }
 
-  // 2. Optional partial structural validation during expansion. The
-  // validators are stateless-const and shared across shard threads;
-  // each invocation records into the engine's shard-local metrics bag,
-  // merged at the join barrier — counters stay exact in parallel runs.
+  // 2. Optional partial structural validation during expansion
+  // (PrefixValidator). The validators are immutable and shared across
+  // shards; each invocation records into the engine's shard-local
+  // metrics bag, merged at the join barrier — counters stay exact in
+  // parallel runs.
   GenericJoinOptions gj_options;
   gj_options.attribute_order = plan.order;
   gj_options.metrics = options.metrics;
@@ -61,29 +115,7 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   gj_options.budget = budget;
   gj_options.executor = options.executor;
   if (plan.structural_pruning) {
-    gj_options.prefix_filter = [&plan](size_t depth,
-                                       const std::vector<int64_t>& prefix,
-                                       Metrics* metrics) {
-      for (size_t t = 0; t < plan.twigs.size(); ++t) {
-        const XJoinPlan::TwigExec& exec = plan.twigs[t];
-        const Twig& twig = plan.query.twigs[t].twig;
-        // Only re-check when the newly bound attribute belongs to this
-        // twig.
-        bool relevant = false;
-        std::vector<std::optional<int64_t>> values(twig.num_nodes());
-        for (size_t q = 0; q < twig.num_nodes(); ++q) {
-          size_t pos = exec.order_pos_of_node[q];
-          if (pos <= depth) values[q] = prefix[pos];
-          if (pos == depth) relevant = true;
-        }
-        if (!relevant) continue;
-        if (!exec.validator.ExistsEmbedding(values, metrics)) {
-          MetricsAdd(metrics, "xjoin.pruned", 1);
-          return false;
-        }
-      }
-      return true;
-    };
+    gj_options.prefix_filter = PrefixValidator(plan);
   }
 
   // 3. Expansion (Algorithm 1's loop). The budget tracker (if any) is
@@ -96,22 +128,24 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
              static_cast<int64_t>(expanded.num_rows()));
 
   // 4. Final structural validation. Row checks are independent, so they
-  // run chunked across the thread pool with one scratch Metrics per
-  // worker (merged after the barrier — sub-counters stay exact); the
-  // keep-mask is filled at disjoint indices and the surviving rows are
-  // appended serially in row order, keeping the output deterministic.
-  Relation validated(expanded.schema());
-  if (plan.twigs.empty()) {
-    validated = std::move(expanded);
-  } else {
+  // run chunked across the thread pool with one scratch Metrics and one
+  // validation scratch per worker (metrics merged after the barrier —
+  // sub-counters stay exact); the keep-mask is filled at disjoint
+  // indices and the surviving rows are compacted in place, in row
+  // order, keeping the output deterministic.
+  if (!plan.twigs.empty()) {
     const size_t num_rows = expanded.num_rows();
     constexpr size_t kGrain = 64;
+    const size_t workers = static_cast<size_t>(
+        ParallelWorkerCount(num_threads, num_rows, kGrain));
     std::vector<uint8_t> keep(num_rows, 0);
     std::vector<Metrics> worker_metrics(
-        options.metrics != nullptr
-            ? static_cast<size_t>(
-                  ParallelWorkerCount(num_threads, num_rows, kGrain))
-            : 0);
+        options.metrics != nullptr ? workers : 0);
+    std::vector<std::vector<TwigStructureValidator::Scratch>> worker_scratch;
+    worker_scratch.reserve(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      worker_scratch.push_back(NewScratch(plan));
+    }
     Executor* executor =
         options.executor != nullptr ? options.executor : Executor::Default();
     executor->ParallelForWorker(
@@ -120,28 +154,23 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
           // remaining rows (the whole result is discarded below, so a
           // zero keep-bit is fine).
           if (budget != nullptr && budget->violated()) return;
-          Metrics* metrics = worker_metrics.empty()
-                                 ? nullptr
-                                 : &worker_metrics[static_cast<size_t>(worker)];
+          const size_t w = static_cast<size_t>(worker);
+          Metrics* metrics =
+              worker_metrics.empty() ? nullptr : &worker_metrics[w];
           bool ok = true;
-          for (size_t t = 0; t < plan.twigs.size(); ++t) {
+          for (size_t t = 0; t < plan.twigs.size() && ok; ++t) {
             const XJoinPlan::TwigExec& exec = plan.twigs[t];
-            const Twig& twig = plan.query.twigs[t].twig;
-            std::vector<std::optional<int64_t>> values(twig.num_nodes());
-            for (size_t q = 0; q < twig.num_nodes(); ++q) {
-              values[q] = expanded.at(r, exec.order_pos_of_node[q]);
+            TwigStructureValidator::Scratch& scratch = worker_scratch[w][t];
+            for (size_t q = 0; q < exec.order_pos_of_node.size(); ++q) {
+              scratch.Bind(static_cast<TwigNodeId>(q),
+                           expanded.at(r, exec.order_pos_of_node[q]));
             }
-            if (!exec.validator.ExistsEmbedding(values, metrics)) {
-              ok = false;
-              break;
-            }
+            ok = exec.validator.ExistsEmbedding(&scratch, metrics);
           }
           keep[r] = ok ? 1 : 0;
         });
     for (const Metrics& m : worker_metrics) options.metrics->MergeFrom(m);
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (keep[r] != 0) validated.AppendRow(expanded.GetRow(r));
-    }
+    expanded.KeepRows(keep);
   }
   // Deadline/cancel check after the validation stage (its cost scales
   // with the expansion size, which the deadline is meant to bound).
@@ -152,15 +181,17 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     if (budget->violated()) return budget->status();
   }
   MetricsAdd(options.metrics, "xjoin.validated",
-             static_cast<int64_t>(validated.num_rows()));
+             static_cast<int64_t>(expanded.num_rows()));
   if (options.metrics != nullptr) {
     options.metrics->RecordMax("xjoin.max_intermediate",
                                options.metrics->Get("gj.max_intermediate"));
   }
 
-  // 5. Projection.
-  if (plan.query.output_attributes.empty()) return validated;
-  return Project(validated, plan.query.output_attributes);
+  // 5. Projection. The join emitted distinct rows ascending in plan
+  // order, so an identity projection only moves the columns, and any
+  // projection sorts only when its column order breaks that ascent.
+  if (plan.query.output_attributes.empty()) return expanded;
+  return Project(std::move(expanded), plan.query.output_attributes);
 }
 
 Result<Relation> ExecuteXJoin(const MultiModelQuery& query,

@@ -22,23 +22,28 @@ struct KeyHash {
 
 Result<Relation> Project(const Relation& input,
                          const std::vector<std::string>& attributes) {
-  std::vector<size_t> idx;
-  idx.reserve(attributes.size());
+  std::vector<const int64_t*> columns;
+  columns.reserve(attributes.size());
   for (const auto& a : attributes) {
     int i = input.schema().IndexOf(a);
     if (i < 0)
       return Status::InvalidArgument("project: unknown attribute " + a);
-    idx.push_back(static_cast<size_t>(i));
+    columns.push_back(input.column(static_cast<size_t>(i)).data());
   }
   XJ_ASSIGN_OR_RETURN(Schema out_schema, Schema::Make(attributes));
   Relation out(std::move(out_schema));
-  Tuple row(idx.size());
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    for (size_t c = 0; c < idx.size(); ++c) row[c] = input.at(r, idx[c]);
-    out.AppendRow(row);
-  }
+  out.AppendColumnBlock(columns.data(), input.num_rows());
   out.SortAndDedup();
   return out;
+}
+
+Result<Relation> Project(Relation&& input,
+                         const std::vector<std::string>& attributes) {
+  if (input.schema().attributes() != attributes) {
+    return Project(static_cast<const Relation&>(input), attributes);
+  }
+  input.SortAndDedup();
+  return std::move(input);
 }
 
 Relation Select(const Relation& input,

@@ -14,8 +14,16 @@
 
 namespace xjoin {
 
-/// Projects onto `attributes` (deduplicated output).
+/// Projects onto `attributes` (deduplicated, sorted output). Gathers the
+/// chosen columns by block copy, then Relation::SortAndDedup — which
+/// only checks, and drops adjacent duplicates, when the gathered rows
+/// already ascend (a prefix of a sorted input's schema does).
 Result<Relation> Project(const Relation& input,
+                         const std::vector<std::string>& attributes);
+
+/// As above, but an identity projection (attributes == input's schema)
+/// moves the columns instead of copying them.
+Result<Relation> Project(Relation&& input,
                          const std::vector<std::string>& attributes);
 
 /// Keeps rows where `predicate(row)` is true; row is in schema order.

@@ -8,6 +8,57 @@
 
 namespace xjoin {
 
+namespace {
+
+// Order-preserving map from int64 to uint64 (flips the sign bit so
+// unsigned digit comparison matches signed order).
+inline uint64_t OrderedBits(int64_t v) {
+  return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
+}
+
+// One stable LSD counting pass over the 8-bit digit of `col` at `shift`,
+// permuting `src` into `dst`.
+void RadixPass(const std::vector<int64_t>& col, int shift,
+               const std::vector<size_t>& src, std::vector<size_t>* dst) {
+  size_t count[256] = {0};
+  for (size_t r : src) ++count[(OrderedBits(col[r]) >> shift) & 0xFF];
+  size_t offsets[256];
+  size_t running = 0;
+  for (int digit = 0; digit < 256; ++digit) {
+    offsets[digit] = running;
+    running += count[digit];
+  }
+  for (size_t r : src) {
+    (*dst)[offsets[(OrderedBits(col[r]) >> shift) & 0xFF]++] = r;
+  }
+}
+
+}  // namespace
+
+std::vector<size_t> SortedRowOrder(
+    const std::vector<const std::vector<int64_t>*>& columns, size_t num_rows) {
+  std::vector<size_t> rows(num_rows);
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  if (num_rows < 2) return rows;
+  std::vector<size_t> scratch(num_rows);
+  // Least-significant column first; within a column, a byte that is the
+  // same in every row costs nothing beyond the variation scan.
+  for (size_t c = columns.size(); c-- > 0;) {
+    const std::vector<int64_t>& col = *columns[c];
+    const uint64_t first = OrderedBits(col[0]);
+    uint64_t varying = 0;
+    for (size_t i = 0; i < num_rows; ++i) {
+      varying |= OrderedBits(col[i]) ^ first;
+    }
+    for (int byte = 0; byte < 8; ++byte) {
+      if (((varying >> (8 * byte)) & 0xFF) == 0) continue;
+      RadixPass(col, 8 * byte, rows, &scratch);
+      rows.swap(scratch);
+    }
+  }
+  return rows;
+}
+
 Relation::Relation(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.size());
 }
@@ -57,37 +108,60 @@ Result<const std::vector<int64_t>*> Relation::ColumnByName(
   return &columns_[static_cast<size_t>(idx)];
 }
 
+void Relation::KeepRows(const std::vector<uint8_t>& keep) {
+  XJ_DCHECK(keep.size() == num_rows());
+  for (auto& col : columns_) {
+    size_t out = 0;
+    for (size_t r = 0; r < col.size(); ++r) {
+      col[out] = col[r];
+      out += keep[r] != 0 ? 1 : 0;
+    }
+    col.resize(out);
+  }
+}
+
 void Relation::SortAndDedup() {
   const size_t n = num_rows();
   const size_t k = num_columns();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+  if (n < 2) return;
+  // Compares rows a and b lexicographically: <0, 0 or >0.
+  auto compare = [this, k](size_t a, size_t b) {
     for (size_t c = 0; c < k; ++c) {
-      if (columns_[c][a] != columns_[c][b])
-        return columns_[c][a] < columns_[c][b];
+      const int64_t x = columns_[c][a];
+      const int64_t y = columns_[c][b];
+      if (x != y) return x < y ? -1 : 1;
     }
-    return false;
-  });
-  std::vector<std::vector<int64_t>> out(k);
-  for (auto& col : out) col.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    size_t r = order[i];
-    if (i > 0) {
-      size_t prev = order[i - 1];
-      bool same = true;
-      for (size_t c = 0; c < k; ++c) {
-        if (columns_[c][r] != columns_[c][prev]) {
-          same = false;
-          break;
-        }
-      }
-      if (same) continue;
-    }
-    for (size_t c = 0; c < k; ++c) out[c].push_back(columns_[c][r]);
+    return 0;
+  };
+
+  bool sorted = true;
+  bool distinct = true;
+  for (size_t i = 1; i < n && sorted; ++i) {
+    const int cmp = compare(i - 1, i);
+    sorted = cmp <= 0;
+    distinct = distinct && cmp != 0;
   }
-  columns_ = std::move(out);
-  if (k == 0) columns_.resize(0);
+  if (sorted && distinct) return;
+  if (!sorted) {
+    std::vector<const std::vector<int64_t>*> cols(k);
+    for (size_t c = 0; c < k; ++c) cols[c] = &columns_[c];
+    const std::vector<size_t> order = SortedRowOrder(cols, n);
+    std::vector<int64_t> permuted(n);
+    for (auto& col : columns_) {
+      for (size_t i = 0; i < n; ++i) permuted[i] = col[order[i]];
+      col.swap(permuted);
+    }
+  }
+  // Drop adjacent duplicates in place; row out-1 is the last kept row.
+  size_t out = 1;
+  for (size_t i = 1; i < n; ++i) {
+    if (compare(out - 1, i) == 0) continue;
+    if (out != i) {
+      for (auto& col : columns_) col[out] = col[i];
+    }
+    ++out;
+  }
+  for (auto& col : columns_) col.resize(out);
 }
 
 std::vector<Tuple> Relation::ToTuples() const {

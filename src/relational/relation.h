@@ -14,6 +14,15 @@ namespace xjoin {
 /// A tuple is one int64 code per schema attribute, in schema order.
 using Tuple = std::vector<int64_t>;
 
+/// The stable lexicographic order of `num_rows` rows given column-wise
+/// (`columns[0]` most significant): element i is the index of the i-th
+/// smallest row. An LSD radix over the bytes that vary in each column,
+/// so small dictionary codes cost one or two counting passes per
+/// column. The relational layer's one sort routine, shared by
+/// Relation::SortAndDedup and RelationTrie::Build.
+std::vector<size_t> SortedRowOrder(
+    const std::vector<const std::vector<int64_t>*>& columns, size_t num_rows);
+
 /// Column-oriented storage for a bag of tuples. Rows are addressed by
 /// index; columns are contiguous vectors (cache-friendly scans, cheap
 /// column projection for trie building).
@@ -59,9 +68,16 @@ class Relation {
   Result<const std::vector<int64_t>*> ColumnByName(
       const std::string& name) const;
 
-  /// Sorts rows lexicographically by the given column positions (all
-  /// columns if empty) and removes duplicate rows. Used to turn bags
-  /// into sets before trie construction and result comparison.
+  /// Keeps exactly the rows r with keep[r] != 0, in order, compacting
+  /// every column in place. Precondition: keep.size() == num_rows().
+  void KeepRows(const std::vector<uint8_t>& keep);
+
+  /// Sorts rows lexicographically (schema order) and removes duplicate
+  /// rows. Used to turn bags into sets before trie construction and
+  /// result comparison. One linear pass first checks whether the rows
+  /// already ascend (GenericJoin output always does, in plan order):
+  /// then the cost is that pass plus an in-place drop of adjacent
+  /// duplicates; only otherwise does it sort, with SortedRowOrder.
   void SortAndDedup();
 
   /// Returns all rows as tuples, in storage order.

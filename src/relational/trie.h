@@ -34,7 +34,7 @@ struct TrieBuildOptions {
   /// serial — it is the LSD radix fast path). <= 1 builds fully inline.
   int num_threads = 1;
   /// Nullable counters: "trie.builds", "trie.build_micros",
-  /// "trie.radix_sorts", "trie.std_sorts".
+  /// "trie.radix_sorts".
   Metrics* metrics = nullptr;
 };
 
@@ -62,8 +62,8 @@ struct TrieDeltaOptions {
 ///   child_begin[d] — node i at level d owns keys[d+1] entries
 ///                    [child_begin[d][i], child_begin[d][i+1])
 ///
-/// Build sorts dictionary codes with an LSD radix sort (std::sort below
-/// a small-input threshold) and assembles the per-level arrays in one
+/// Build sorts dictionary codes with an LSD radix sort (SortedRowOrder,
+/// relational/relation.h) and assembles the per-level arrays in one
 /// pass over the sorted columns — duplicate rows fold away during that
 /// pass, no re-reads of the unsorted relation.
 ///

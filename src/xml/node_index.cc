@@ -89,14 +89,17 @@ std::vector<ValueNode> NodeIndex::DescendantValues(NodeId ancestor,
   return out;
 }
 
-std::vector<NodeId> NodeIndex::NodesByTagValue(int32_t tag,
-                                               int64_t value) const {
-  const auto& list = ValueSortedNodes(tag);
-  std::vector<NodeId> out;
+std::pair<const ValueNode*, const ValueNode*> NodeIndex::TagValueRange(
+    int32_t tag, int64_t value) const {
+  const std::vector<ValueNode>& list = ValueSortedNodes(tag);
+  const ValueNode* last = list.data() + list.size();
   auto cmp = [](const ValueNode& a, int64_t v) { return a.value < v; };
-  auto it = std::lower_bound(list.begin(), list.end(), value, cmp);
-  for (; it != list.end() && it->value == value; ++it) out.push_back(it->node);
-  return out;
+  const ValueNode* first = std::lower_bound(list.data(), last, value, cmp);
+  // Runs are short (values are mostly unique per tag), and a caller
+  // walks the whole run anyway, so find its end by scanning.
+  const ValueNode* end = first;
+  while (end != last && end->value == value) ++end;
+  return {first, end};
 }
 
 }  // namespace xjoin

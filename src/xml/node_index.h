@@ -7,6 +7,7 @@
 #define XJOIN_XML_NODE_INDEX_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/dictionary.h"
@@ -64,8 +65,11 @@ class NodeIndex {
   /// Uses the region encoding over the per-tag document-order stream.
   std::vector<ValueNode> DescendantValues(NodeId ancestor, int32_t tag) const;
 
-  /// All nodes whose join value is `value` and tag is `tag`.
-  std::vector<NodeId> NodesByTagValue(int32_t tag, int64_t value) const;
+  /// The run of ValueSortedNodes(tag) whose value is `value`, as a
+  /// [first, last) range with node ids ascending; empty for unknown tags
+  /// or values. A view into the index, no copy; O(log n + run length).
+  std::pair<const ValueNode*, const ValueNode*> TagValueRange(
+      int32_t tag, int64_t value) const;
 
  private:
   NodeIndex() = default;

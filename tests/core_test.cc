@@ -431,6 +431,32 @@ TEST(ValidateTest, FullAssignmentExactness) {
   EXPECT_FALSE(v.ExistsEmbedding({val("1"), val("y")}));
 }
 
+TEST(ValidateTest, CandidateCounterChargedOnEveryExit) {
+  auto doc = ParseXml(
+      "<r><a>1<b>x</b></a><a>2<b>y</b></a><c>only-under-a2</c></r>");
+  ASSERT_TRUE(doc.ok());
+  Dictionary dict;
+  NodeIndex index = NodeIndex::Build(&*doc, &dict);
+  auto val = [&](const char* s) { return dict.Lookup(s); };
+  auto twig = Twig::Parse("a/b");
+  TwigStructureValidator v(&*twig, &index);
+  // b=y (1 candidate) is kept, then a=1 (1 candidate) has no b=y child.
+  Metrics rejected;
+  EXPECT_FALSE(v.ExistsEmbedding({val("1"), val("y")}, &rejected));
+  EXPECT_EQ(rejected.Get("validate.candidates"), 2);
+  // A value with no node stops at its own lookup.
+  Metrics missing;
+  EXPECT_FALSE(v.ExistsEmbedding({val("1"), val("1")}, &missing));
+  EXPECT_EQ(missing.Get("validate.candidates"), 0);
+  EXPECT_EQ(missing.counters().count("validate.candidates"), 1u);
+  // A tag absent from the document exits before any lookup: no counter.
+  auto absent = Twig::Parse("a/z");
+  TwigStructureValidator w(&*absent, &index);
+  Metrics none;
+  EXPECT_FALSE(w.ExistsEmbedding({val("1"), val("x")}, &none));
+  EXPECT_EQ(none.counters().count("validate.candidates"), 0u);
+}
+
 TEST(ValidateTest, PartialAssignmentsAreSound) {
   auto doc = ParseXml("<r><a>1<b>x</b></a></r>");
   Dictionary dict;

@@ -59,16 +59,21 @@ TEST(NodeIndexTest, ValueSortedNodesIsSorted) {
   }
 }
 
-TEST(NodeIndexTest, NodesByTagValue) {
+TEST(NodeIndexTest, TagValueRange) {
   auto doc = ParseXml("<r><a>x</a><a>y</a><a>x</a></r>");
   ASSERT_TRUE(doc.ok());
   Dictionary dict;
   NodeIndex index = NodeIndex::Build(&*doc, &dict);
   int64_t x = dict.Lookup("x");
-  auto nodes = index.NodesByTagValue(doc->LookupTag("a"), x);
-  EXPECT_EQ(nodes.size(), 2u);
-  EXPECT_TRUE(index.NodesByTagValue(doc->LookupTag("a"), 999999).empty());
-  EXPECT_TRUE(index.NodesByTagValue(-1, x).empty());
+  auto [first, last] = index.TagValueRange(doc->LookupTag("a"), x);
+  ASSERT_EQ(last - first, 2);
+  EXPECT_EQ(first[0].value, x);
+  EXPECT_EQ(first[1].value, x);
+  EXPECT_LT(first[0].node, first[1].node);
+  auto none = index.TagValueRange(doc->LookupTag("a"), 999999);
+  EXPECT_EQ(none.first, none.second);
+  auto unknown = index.TagValueRange(-1, x);
+  EXPECT_EQ(unknown.first, unknown.second);
 }
 
 TEST(NodeIndexTest, UnknownTagYieldsEmpty) {

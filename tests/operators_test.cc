@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <set>
+
 #include "common/random.h"
 #include "relational/operators.h"
 #include "tests/test_util.h"
@@ -164,6 +170,120 @@ TEST_P(HashJoinProperty, MatchesNaiveJoin) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, HashJoinProperty,
                          ::testing::Range(0, 30));
+
+// Property: Project and SortAndDedup return exactly the rows of a
+// std::set<Tuple> reference, in its (signed lexicographic) order. Row
+// counts sit around 256, the radix sort's digit-table size; inputs are
+// random, sorted, reverse-sorted and duplicate-heavy (shuffled or
+// sorted), over codes that include negatives and the int64 extremes.
+enum class RowShape {
+  kRandom,
+  kSorted,
+  kReverse,
+  kDuplicateHeavy,
+  kSortedDuplicates
+};
+constexpr int kNumRowShapes = 5;
+
+Relation ShapedRelation(Rng* rng, const std::vector<std::string>& attrs,
+                        size_t rows, RowShape shape) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // Codes around the sign bit, the byte boundaries and the int64 ends.
+  std::vector<int64_t> edges = {kMin, kMin + 1, -257, -256, -1, 0};
+  edges.insert(edges.end(), {1, 255, 256, int64_t{1} << 32, kMax - 1, kMax});
+  const bool duplicates = shape == RowShape::kDuplicateHeavy ||
+                          shape == RowShape::kSortedDuplicates;
+  std::vector<Tuple> tuples(rows, Tuple(attrs.size()));
+  for (Tuple& t : tuples) {
+    for (int64_t& v : t) {
+      if (duplicates) {
+        v = rng->NextBernoulli(0.5) ? kMin : 0;
+      } else if (rng->NextBernoulli(0.5)) {
+        v = edges[rng->NextBounded(edges.size())];
+      } else {
+        v = static_cast<int64_t>(rng->Next64());
+      }
+    }
+  }
+  if (shape == RowShape::kSorted || shape == RowShape::kSortedDuplicates) {
+    std::sort(tuples.begin(), tuples.end());
+  }
+  if (shape == RowShape::kReverse) {
+    std::sort(tuples.begin(), tuples.end(), std::greater<Tuple>());
+  }
+  auto schema = Schema::Make(attrs);
+  return *Relation::FromTuples(*schema, std::move(tuples));
+}
+
+std::vector<Tuple> SetReference(const Relation& r,
+                                const std::vector<size_t>& columns) {
+  std::set<Tuple> rows;
+  for (size_t i = 0; i < r.num_rows(); ++i) {
+    Tuple t;
+    for (size_t c : columns) t.push_back(r.at(i, c));
+    rows.insert(t);
+  }
+  return {rows.begin(), rows.end()};
+}
+
+TEST(SortAndProjectProperty, MatchSetReference) {
+  Rng rng(4242);
+  const std::vector<std::string> attrs = {"A", "B", "C"};
+  // Identity, prefix, permuted, column-dropping and single-column.
+  const std::vector<std::vector<size_t>> projections = {
+      {0, 1, 2}, {0, 1}, {2, 0, 1}, {0, 2}, {1}};
+  for (size_t rows : {0, 1, 255, 256, 257}) {
+    for (int s = 0; s < kNumRowShapes; ++s) {
+      const Relation input =
+          ShapedRelation(&rng, attrs, rows, static_cast<RowShape>(s));
+      SCOPED_TRACE("rows=" + std::to_string(rows) +
+                   " shape=" + std::to_string(s));
+
+      Relation sorted = input;
+      sorted.SortAndDedup();
+      EXPECT_EQ(sorted.ToTuples(), SetReference(input, {0, 1, 2}));
+
+      for (const std::vector<size_t>& columns : projections) {
+        SCOPED_TRACE(::testing::PrintToString(columns));
+        std::vector<std::string> names;
+        for (size_t c : columns) names.push_back(attrs[c]);
+        const std::vector<Tuple> expected = SetReference(input, columns);
+        auto copied = Project(input, names);
+        ASSERT_TRUE(copied.ok());
+        EXPECT_EQ(copied->schema().attributes(), names);
+        EXPECT_EQ(copied->ToTuples(), expected);
+        Relation owned = input;
+        auto moved = Project(std::move(owned), names);
+        ASSERT_TRUE(moved.ok());
+        EXPECT_EQ(moved->ToTuples(), expected);
+      }
+    }
+  }
+}
+
+TEST(SortAndProjectProperty, ZeroColumnRelations) {
+  // A relation without columns holds no rows; sorting and projecting
+  // keep it that way, and projecting onto no attributes yields one.
+  auto empty_schema = Schema::Make({});
+  ASSERT_TRUE(empty_schema.ok());
+  Relation none(*empty_schema);
+  none.AppendRow({});
+  none.SortAndDedup();
+  EXPECT_EQ(none.num_columns(), 0u);
+  EXPECT_EQ(none.num_rows(), 0u);
+  auto identity = Project(std::move(none), {});
+  ASSERT_TRUE(identity.ok());
+  EXPECT_EQ(identity->num_rows(), 0u);
+
+  Rng rng(7);
+  const Relation input =
+      ShapedRelation(&rng, {"A", "B"}, 257, RowShape::kRandom);
+  auto dropped = Project(input, {});
+  ASSERT_TRUE(dropped.ok());
+  EXPECT_EQ(dropped->num_columns(), 0u);
+  EXPECT_EQ(dropped->num_rows(), 0u);
+}
 
 }  // namespace
 }  // namespace xjoin

@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "core/baseline.h"
 #include "core/bound.h"
+#include "core/validate.h"
 #include "core/xjoin.h"
 #include "relational/operators.h"
 #include "tests/test_util.h"
@@ -304,6 +305,42 @@ TEST(WorkloadTest, XMarkQueriesAnswerAndAgree) {
   }
 }
 
+// Four threads shard the expansion (each shard filtering prefixes in
+// its own validation scratch) and split the final validation across
+// workers (one scratch each); result bytes and the final validation's
+// counters must equal the serial run's.
+TEST(WorkloadTest, XMarkFourThreadsMatchSerial) {
+  XMarkOptions opts;
+  opts.num_closed_auctions = 400;
+  opts.num_open_auctions = 300;
+  XMarkInstance inst = MakeXMark(opts);
+  for (MultiModelQuery q :
+       {inst.ClosedAuctionQuery(), inst.OpenAuctionQuery()}) {
+    for (bool pruning : {false, true}) {
+      XJoinOptions serial;
+      serial.structural_pruning = pruning;
+      Metrics serial_metrics;
+      serial.metrics = &serial_metrics;
+      XJoinOptions parallel = serial;
+      parallel.num_threads = 4;
+      Metrics parallel_metrics;
+      parallel.metrics = &parallel_metrics;
+      auto a = ExecuteXJoin(q, serial);
+      auto b = ExecuteXJoin(q, parallel);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      EXPECT_GT(serial_metrics.Get("xjoin.expanded"), 64);
+      EXPECT_EQ(a->ToTuples(), b->ToTuples());
+      EXPECT_EQ(serial_metrics.Get("xjoin.validated"),
+                parallel_metrics.Get("xjoin.validated"));
+      if (!pruning) {
+        EXPECT_EQ(serial_metrics.Get("validate.candidates"),
+                  parallel_metrics.Get("validate.candidates"));
+      }
+    }
+  }
+}
+
 TEST(WorkloadTest, BookstoreQueriesAnswerAndAgree) {
   BookstoreOptions opts;
   opts.num_orders = 80;
@@ -425,6 +462,100 @@ std::vector<DiffParam> MakeDiffParams() {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, XJoinDifferential,
                          ::testing::ValuesIn(MakeDiffParams()));
+
+// One validator and one reused scratch, driven over a shuffled sequence
+// of full and partial bound masks (more distinct masks than the
+// scratch's skeleton cache holds), must answer exactly as one-shot calls
+// on fresh scratch and charge the same "validate.candidates" total.
+void ExpectScratchReuseMatchesFreshCalls(const Twig& twig,
+                                         const NodeIndex& index,
+                                         uint64_t seed) {
+  const size_t n = twig.num_nodes();
+  // Assignments: every embedding's values (true cases) plus values drawn
+  // from each node's tag, or from anywhere in the document (mostly false).
+  std::vector<std::vector<int64_t>> assignments;
+  for (const auto& m : MatchTwigNaive(index.doc(), twig)) {
+    std::vector<int64_t> values(n);
+    for (size_t q = 0; q < n; ++q) values[q] = index.ValueOf(m[q]);
+    assignments.push_back(std::move(values));
+  }
+  Rng rng(seed);
+  const size_t num_doc_nodes = index.doc().num_nodes();
+  for (int i = 0; i < 60; ++i) {
+    std::vector<int64_t> values(n);
+    for (size_t q = 0; q < n; ++q) {
+      const auto& same_tag = index.ValueSortedNodes(
+          index.doc().LookupTag(twig.node(static_cast<TwigNodeId>(q)).tag));
+      if (!same_tag.empty() && rng.NextBernoulli(0.7)) {
+        values[q] = same_tag[rng.NextBounded(same_tag.size())].value;
+      } else {
+        NodeId any = static_cast<NodeId>(rng.NextBounded(num_doc_nodes));
+        values[q] = index.ValueOf(any);
+      }
+    }
+    assignments.push_back(std::move(values));
+  }
+  ASSERT_FALSE(assignments.empty());
+
+  TwigStructureValidator validator(&twig, &index);
+  TwigStructureValidator::Scratch scratch(validator);
+  Metrics reused;
+  Metrics fresh;
+  size_t accepted = 0;
+  for (int call = 0; call < 600; ++call) {
+    const auto& values = assignments[rng.NextBounded(assignments.size())];
+    const bool full = rng.NextBernoulli(0.4);
+    std::vector<std::optional<int64_t>> optional_values(n);
+    for (size_t q = 0; q < n; ++q) {
+      const TwigNodeId node = static_cast<TwigNodeId>(q);
+      if (full || rng.NextBernoulli(0.5)) {
+        optional_values[q] = values[q];
+        scratch.Bind(node, values[q]);
+      } else {
+        scratch.Unbind(node);
+      }
+    }
+    const bool expected = validator.ExistsEmbedding(optional_values, &fresh);
+    ASSERT_EQ(validator.ExistsEmbedding(&scratch, &reused), expected)
+        << twig.ToString() << " call " << call;
+    accepted += expected ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 0u) << twig.ToString();
+  EXPECT_GT(fresh.Get("validate.candidates"), 0) << twig.ToString();
+  EXPECT_EQ(reused.Get("validate.candidates"),
+            fresh.Get("validate.candidates"))
+      << twig.ToString();
+}
+
+TEST(ValidatorScratchTest, ReuseMatchesFreshCalls) {
+  // The paper's Figure 1 twig over its document.
+  BookstoreInstance bookstore = MakeBookstore(BookstoreOptions{});
+  auto figure1 = Twig::Parse("invoice[orderID]/orderLine[ISBN]/price");
+  ASSERT_TRUE(figure1.ok());
+  ExpectScratchReuseMatchesFreshCalls(*figure1, *bookstore.index, 1);
+
+  // The XMark closed- and open-auction twigs.
+  XMarkOptions opts;
+  opts.num_items = 40;
+  opts.num_persons = 25;
+  opts.num_open_auctions = 30;
+  opts.num_closed_auctions = 25;
+  XMarkInstance xmark = MakeXMark(opts);
+  ExpectScratchReuseMatchesFreshCalls(
+      xmark.ClosedAuctionQuery().twigs[0].twig, *xmark.index, 2);
+  ExpectScratchReuseMatchesFreshCalls(
+      xmark.OpenAuctionQuery().twigs[0].twig, *xmark.index, 3);
+
+  // A-D edges around a wildcard: bound, the wildcard matches no tag (it
+  // is not joinable); unbound, it still spaces its neighbours one level.
+  Rng rng(99);
+  auto doc = testing::RandomDocument(&rng, 300, {"a", "b", "c"}, 6);
+  Dictionary dict;
+  NodeIndex index = NodeIndex::Build(doc.get(), &dict);
+  auto wildcard = Twig::Parse("a//*=w[b]//c");
+  ASSERT_TRUE(wildcard.ok()) << wildcard.status().ToString();
+  ExpectScratchReuseMatchesFreshCalls(*wildcard, index, 4);
+}
 
 }  // namespace
 }  // namespace xjoin
