@@ -123,10 +123,6 @@ class BudgetTracker {
     if (num_cancel_ < kMaxCancelSources) cancel_[num_cancel_++] = token;
   }
 
-  /// Whether any cancel source is attached (the engines count their
-  /// cancellation polls only when one is).
-  bool has_cancel() const { return num_cancel_ > 0; }
-
   /// Attaches the tenant pool's aggregate in-flight ceilings; every
   /// ChargeRows also charges the aggregate. NOT thread-safe: call
   /// during query setup. The caller owns the release (the admission

@@ -68,6 +68,34 @@ std::string SnapshotDocumentNameOf(const internal::DatabaseSnapshot& snap,
   return std::string();
 }
 
+// The keys of a name-keyed map, in order.
+template <typename Map>
+std::vector<std::string> KeysOf(const Map& map) {
+  std::vector<std::string> names;
+  names.reserve(map.size());
+  for (const auto& entry : map) names.push_back(entry.first);
+  return names;
+}
+
+// The version of `name` in a snapshot map; NotFound names the `kind`.
+template <typename Map>
+Result<uint64_t> VersionIn(const Map& map, const std::string& name,
+                           const char* kind) {
+  auto it = map.find(name);
+  if (it == map.end()) {
+    return Status::NotFound(std::string("no ") + kind + " " + name);
+  }
+  return it->second.version;
+}
+
+// The XJoin options a Session call plans and executes with: the xjoin
+// knobs, counting into options.metrics unless they bring a bag.
+XJoinOptions PlanOptions(const QueryOptions& options) {
+  XJoinOptions xopts = options.xjoin;
+  if (xopts.metrics == nullptr) xopts.metrics = options.metrics;
+  return xopts;
+}
+
 // Splits on commas at bracket depth zero (twig branches keep their
 // commas).
 std::vector<std::string> SplitTopLevel(std::string_view text) {
@@ -114,6 +142,32 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
+// Records on a freshly prepared (or rebound) plan the snapshot version
+// of every source it reads, pins the storage its raw pointers
+// reference (so the plan outlives any later copy-on-swap of the
+// registry entry), and sets its cache key.
+void AttachSnapshotSources(XJoinPlan* plan,
+                           const internal::DatabaseSnapshot& snap,
+                           const std::string& key) {
+  for (const auto& nr : plan->query.relations) {
+    auto it = snap.relations.find(nr.name);
+    if (it == snap.relations.end()) continue;  // defensive; parse bound it
+    plan->sources.push_back({nr.name, /*is_document=*/false,
+                             it->second.version});
+    plan->pins.push_back(it->second.relation);
+  }
+  for (const auto& ti : plan->query.twigs) {
+    std::string doc_name = SnapshotDocumentNameOf(snap, ti.index);
+    if (doc_name.empty()) continue;  // defensive; parse binds our docs
+    auto it = snap.documents.find(doc_name);
+    plan->sources.push_back({doc_name, /*is_document=*/true,
+                             it->second.version});
+    plan->pins.push_back(it->second.index);
+    plan->pins.push_back(it->second.doc);
+  }
+  plan->cache_key = key;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -132,10 +186,11 @@ Status MultiModelDatabase::RegisterRelation(const std::string& name,
   if (name.empty()) return Status::InvalidArgument("empty relation name");
   auto shared = std::make_shared<const Relation>(std::move(relation));
   std::unique_lock<std::shared_mutex> lock(registry_mu_);
-  if (relations_.count(name) || documents_.count(name)) {
+  if (registry_.relations.count(name) || registry_.documents.count(name)) {
     return Status::AlreadyExists(name + " is already registered");
   }
-  relations_.emplace(name, RelationEntry{std::move(shared), 0});
+  registry_.relations.emplace(
+      name, internal::SnapshotRelation{std::move(shared), 0});
   return Status::OK();
 }
 
@@ -148,8 +203,10 @@ Status MultiModelDatabase::UpdateRelation(const std::string& name,
   std::lock_guard<std::mutex> update_lock(update_mu_);
   {
     std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    auto it = relations_.find(name);
-    if (it == relations_.end()) return Status::NotFound("no relation " + name);
+    auto it = registry_.relations.find(name);
+    if (it == registry_.relations.end()) {
+      return Status::NotFound("no relation " + name);
+    }
     // Copy-on-swap: the old shared_ptr stays alive while any session,
     // plan, or in-flight query pins it; new snapshots see the new one.
     it->second.relation = std::move(shared);
@@ -173,8 +230,10 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
   uint64_t old_version = 0;
   {
     std::shared_lock<std::shared_mutex> lock(registry_mu_);
-    auto it = relations_.find(name);
-    if (it == relations_.end()) return Status::NotFound("no relation " + name);
+    auto it = registry_.relations.find(name);
+    if (it == registry_.relations.end()) {
+      return Status::NotFound("no relation " + name);
+    }
     base = it->second.relation;
     old_version = it->second.version;
   }
@@ -183,14 +242,12 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
   if (arity == 0) {
     return Status::InvalidArgument("cannot delta a zero-arity relation");
   }
-  for (const Tuple& t : delta.inserts) {
-    if (t.size() != arity) {
-      return Status::InvalidArgument("delta tuple arity mismatch for " + name);
-    }
-  }
-  for (const Tuple& t : delta.deletes) {
-    if (t.size() != arity) {
-      return Status::InvalidArgument("delta tuple arity mismatch for " + name);
+  for (const std::vector<Tuple>* tuples : {&delta.inserts, &delta.deletes}) {
+    for (const Tuple& t : *tuples) {
+      if (t.size() != arity) {
+        return Status::InvalidArgument("delta tuple arity mismatch for " +
+                                       name);
+      }
     }
   }
 
@@ -256,8 +313,10 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
   // guarantees it is still old_version).
   {
     std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    auto it = relations_.find(name);
-    if (it == relations_.end()) return Status::NotFound("no relation " + name);
+    auto it = registry_.relations.find(name);
+    if (it == registry_.relations.end()) {
+      return Status::NotFound("no relation " + name);
+    }
     it->second.relation = std::move(next);
     it->second.version = old_version + 1;
   }
@@ -266,18 +325,10 @@ Status MultiModelDatabase::ApplyRelationDelta(const std::string& name,
   // old-version entries (pins keep the old objects alive for open
   // sessions). Cached plans are deliberately NOT invalidated: their
   // next hit revalidates versions and rebinds to the patched tries
-  // (see PreparePlanSnapshot) instead of re-planning.
+  // (see ResolvePlan) instead of re-planning.
   {
     std::lock_guard<std::mutex> lock(trie_cache_mu_);
-    for (auto it = trie_lru_.begin(); it != trie_lru_.end();) {
-      if (it->owner == name && HasPrefix(it->key, old_prefix)) {
-        trie_cache_bytes_ -= it->bytes;
-        trie_index_.erase(it->key);
-        it = trie_lru_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    EraseTriesLocked(name, old_prefix);
     for (auto& [key, trie] : patched) {
       ++trie_cache_patches_;
       TrieCacheInsertLocked(std::move(key), name, std::move(trie));
@@ -311,11 +362,12 @@ Status MultiModelDatabase::RegisterDocument(const std::string& name,
   auto index = std::make_shared<const NodeIndex>(
       NodeIndex::Build(doc_shared.get(), &dict_, policy));
   std::unique_lock<std::shared_mutex> lock(registry_mu_);
-  if (relations_.count(name) || documents_.count(name)) {
+  if (registry_.relations.count(name) || registry_.documents.count(name)) {
     return Status::AlreadyExists(name + " is already registered");
   }
-  documents_.emplace(
-      name, DocumentEntry{std::move(doc_shared), std::move(index), 0});
+  registry_.documents.emplace(
+      name,
+      internal::SnapshotDocument{std::move(doc_shared), std::move(index), 0});
   return Status::OK();
 }
 
@@ -335,8 +387,10 @@ Status MultiModelDatabase::UpdateDocument(const std::string& name,
   std::lock_guard<std::mutex> update_lock(update_mu_);
   {
     std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    auto it = documents_.find(name);
-    if (it == documents_.end()) return Status::NotFound("no document " + name);
+    auto it = registry_.documents.find(name);
+    if (it == registry_.documents.end()) {
+      return Status::NotFound("no document " + name);
+    }
     it->second.doc = std::move(doc_shared);
     it->second.index = std::move(index);
     ++it->second.version;
@@ -349,55 +403,43 @@ Status MultiModelDatabase::UpdateDocument(const std::string& name,
 Result<const Relation*> MultiModelDatabase::relation(
     const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  auto it = relations_.find(name);
-  if (it == relations_.end()) return Status::NotFound("no relation " + name);
+  auto it = registry_.relations.find(name);
+  if (it == registry_.relations.end()) {
+    return Status::NotFound("no relation " + name);
+  }
   return it->second.relation.get();
 }
 
 Result<const NodeIndex*> MultiModelDatabase::document_index(
     const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  auto it = documents_.find(name);
-  if (it == documents_.end()) return Status::NotFound("no document " + name);
+  auto it = registry_.documents.find(name);
+  if (it == registry_.documents.end()) {
+    return Status::NotFound("no document " + name);
+  }
   return it->second.index.get();
 }
 
 std::vector<std::string> MultiModelDatabase::RelationNames() const {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  std::vector<std::string> names;
-  names.reserve(relations_.size());
-  for (const auto& [name, entry] : relations_) {
-    (void)entry;
-    names.push_back(name);
-  }
-  return names;
+  return KeysOf(registry_.relations);
 }
 
 std::vector<std::string> MultiModelDatabase::DocumentNames() const {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  std::vector<std::string> names;
-  names.reserve(documents_.size());
-  for (const auto& [name, doc] : documents_) {
-    (void)doc;
-    names.push_back(name);
-  }
-  return names;
+  return KeysOf(registry_.documents);
 }
 
 Result<uint64_t> MultiModelDatabase::relation_version(
     const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  auto it = relations_.find(name);
-  if (it == relations_.end()) return Status::NotFound("no relation " + name);
-  return it->second.version;
+  return VersionIn(registry_.relations, name, "relation");
 }
 
 Result<uint64_t> MultiModelDatabase::document_version(
     const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  auto it = documents_.find(name);
-  if (it == documents_.end()) return Status::NotFound("no document " + name);
-  return it->second.version;
+  return VersionIn(registry_.documents, name, "document");
 }
 
 // ---------------------------------------------------------------------------
@@ -406,18 +448,8 @@ Result<uint64_t> MultiModelDatabase::document_version(
 
 std::shared_ptr<const internal::DatabaseSnapshot>
 MultiModelDatabase::TakeSnapshot() const {
-  auto snap = std::make_shared<internal::DatabaseSnapshot>();
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  for (const auto& [name, entry] : relations_) {
-    snap->relations.emplace(
-        name, internal::SnapshotRelation{entry.relation, entry.version});
-  }
-  for (const auto& [name, entry] : documents_) {
-    snap->documents.emplace(
-        name,
-        internal::SnapshotDocument{entry.doc, entry.index, entry.version});
-  }
-  return snap;
+  return std::make_shared<const internal::DatabaseSnapshot>(registry_);
 }
 
 Session MultiModelDatabase::OpenSession() const {
@@ -431,10 +463,8 @@ Result<Relation> Session::Query(const std::string& text,
 
 Result<PreparedQuery> Session::Prepare(const std::string& text,
                                        const QueryOptions& options) const {
-  XJoinOptions xopts = options.xjoin;
-  if (xopts.metrics == nullptr) xopts.metrics = options.metrics;
   XJ_ASSIGN_OR_RETURN(std::shared_ptr<const XJoinPlan> plan,
-                      db_->PreparePlanSnapshot(text, xopts, snap_));
+                      db_->ResolvePlan(text, PlanOptions(options), snap_));
   return PreparedQuery{std::move(plan)};
 }
 
@@ -449,10 +479,8 @@ Result<Relation> Session::Execute(const PreparedQuery& prepared,
 
 Result<std::string> Session::Explain(const std::string& text,
                                      const QueryOptions& options) const {
-  XJoinOptions xopts = options.xjoin;
-  if (xopts.metrics == nullptr) xopts.metrics = options.metrics;
   XJ_ASSIGN_OR_RETURN(std::shared_ptr<const XJoinPlan> plan,
-                      db_->PreparePlanSnapshot(text, xopts, snap_));
+                      db_->ResolvePlan(text, PlanOptions(options), snap_));
   std::string out = "query: " + CanonicalizeQueryText(text) + "\n";
   out += ExplainPlan(*plan);
   CacheStats stats = db_->cache_stats();
@@ -475,39 +503,19 @@ Result<std::string> Session::Explain(const std::string& text,
 }
 
 std::vector<std::string> Session::RelationNames() const {
-  std::vector<std::string> names;
-  names.reserve(snap_->relations.size());
-  for (const auto& [name, entry] : snap_->relations) {
-    (void)entry;
-    names.push_back(name);
-  }
-  return names;
+  return KeysOf(snap_->relations);
 }
 
 std::vector<std::string> Session::DocumentNames() const {
-  std::vector<std::string> names;
-  names.reserve(snap_->documents.size());
-  for (const auto& [name, doc] : snap_->documents) {
-    (void)doc;
-    names.push_back(name);
-  }
-  return names;
+  return KeysOf(snap_->documents);
 }
 
 Result<uint64_t> Session::relation_version(const std::string& name) const {
-  auto it = snap_->relations.find(name);
-  if (it == snap_->relations.end()) {
-    return Status::NotFound("no relation " + name);
-  }
-  return it->second.version;
+  return VersionIn(snap_->relations, name, "relation");
 }
 
 Result<uint64_t> Session::document_version(const std::string& name) const {
-  auto it = snap_->documents.find(name);
-  if (it == snap_->documents.end()) {
-    return Status::NotFound("no document " + name);
-  }
-  return it->second.version;
+  return VersionIn(snap_->documents, name, "document");
 }
 
 // ---------------------------------------------------------------------------
@@ -592,7 +600,11 @@ void MultiModelDatabase::TrieCacheInsertLocked(
   trie_lru_.push_front(std::move(entry));
   trie_index_[std::move(key)] = trie_lru_.begin();
   trie_cache_bytes_ += bytes;
-  while (trie_cache_bytes_ > trie_cache_budget_ && trie_lru_.size() > 1) {
+  EvictTriesLocked(/*keep=*/1);
+}
+
+void MultiModelDatabase::EvictTriesLocked(size_t keep) const {
+  while (trie_cache_bytes_ > trie_cache_budget_ && trie_lru_.size() > keep) {
     const TrieCacheEntry& victim = trie_lru_.back();
     trie_cache_bytes_ -= victim.bytes;
     trie_index_.erase(victim.key);
@@ -601,10 +613,10 @@ void MultiModelDatabase::TrieCacheInsertLocked(
   }
 }
 
-void MultiModelDatabase::InvalidateTrieCache(const std::string& name) {
-  std::lock_guard<std::mutex> lock(trie_cache_mu_);
+void MultiModelDatabase::EraseTriesLocked(const std::string& owner,
+                                          const std::string& key_prefix) const {
   for (auto it = trie_lru_.begin(); it != trie_lru_.end();) {
-    if (it->owner == name) {
+    if (it->owner == owner && HasPrefix(it->key, key_prefix)) {
       trie_cache_bytes_ -= it->bytes;
       trie_index_.erase(it->key);
       it = trie_lru_.erase(it);
@@ -612,6 +624,11 @@ void MultiModelDatabase::InvalidateTrieCache(const std::string& name) {
       ++it;
     }
   }
+}
+
+void MultiModelDatabase::InvalidateTrieCache(const std::string& name) {
+  std::lock_guard<std::mutex> lock(trie_cache_mu_);
+  EraseTriesLocked(name, /*key_prefix=*/"");
 }
 
 void MultiModelDatabase::ClearTrieCache() {
@@ -624,13 +641,7 @@ void MultiModelDatabase::ClearTrieCache() {
 void MultiModelDatabase::SetTrieCacheBudget(size_t bytes) {
   std::lock_guard<std::mutex> lock(trie_cache_mu_);
   trie_cache_budget_ = bytes;
-  while (trie_cache_bytes_ > trie_cache_budget_ && !trie_lru_.empty()) {
-    const TrieCacheEntry& victim = trie_lru_.back();
-    trie_cache_bytes_ -= victim.bytes;
-    trie_index_.erase(victim.key);
-    trie_lru_.pop_back();
-    ++trie_cache_evictions_;
-  }
+  EvictTriesLocked(/*keep=*/0);
 }
 
 size_t MultiModelDatabase::trie_cache_budget() const {
@@ -638,11 +649,49 @@ size_t MultiModelDatabase::trie_cache_budget() const {
   return trie_cache_budget_;
 }
 
+template <typename Build>
+Result<std::shared_ptr<const RelationTrie>>
+MultiModelDatabase::CacheOrBuildTrie(std::string key, const std::string& owner,
+                                     Metrics* metrics, int num_threads,
+                                     const CancellationToken* cancel,
+                                     Build&& build) const {
+  {
+    std::lock_guard<std::mutex> lock(trie_cache_mu_);
+    if (auto hit = TrieCacheLookupLocked(key)) {
+      ++trie_cache_hits_;
+      MetricsAdd(metrics, "db.trie_cache.hits", 1);
+      return hit;
+    }
+  }
+  // Cache miss: a cancelled query must not pay for (or fault tests
+  // silently survive) a cold build.
+  if (cancel != nullptr && cancel->cancelled()) return cancel->status();
+  if (XJOIN_FAULT("trie.build")) {
+    return Status::Internal("fault injection: trie build for " + owner +
+                            " failed (site trie.build)");
+  }
+  // Build outside the lock (concurrent queries may race to build the
+  // same trie; the insert below keeps the first and the extra build is
+  // discarded — correctness over double-build avoidance).
+  TrieBuildOptions build_options;
+  build_options.num_threads = num_threads;
+  build_options.metrics = metrics;
+  XJ_ASSIGN_OR_RETURN(RelationTrie trie, build(build_options));
+  auto shared = std::make_shared<const RelationTrie>(std::move(trie));
+  std::lock_guard<std::mutex> lock(trie_cache_mu_);
+  ++trie_cache_misses_;
+  MetricsAdd(metrics, "db.trie_cache.misses", 1);
+  const int64_t before = trie_cache_evictions_;
+  TrieCacheInsertLocked(std::move(key), owner, shared);
+  MetricsAdd(metrics, "db.trie_cache.evictions",
+             trie_cache_evictions_ - before);
+  return shared;
+}
+
 TrieProvider MultiModelDatabase::CacheTrieProvider(
     std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
     int num_threads, const CancellationToken* cancel) const {
-  const MultiModelDatabase* self = this;
-  return [self, snap = std::move(snap), metrics, num_threads, cancel](
+  return [this, snap = std::move(snap), metrics, num_threads, cancel](
              const std::string& name, const Relation& relation,
              const std::vector<std::string>& order)
              -> Result<std::shared_ptr<const RelationTrie>> {
@@ -658,48 +707,18 @@ TrieProvider MultiModelDatabase::CacheTrieProvider(
     // old-version trie after an update is harmless: it can only be hit
     // by sessions on the same version, and the update's owner-wide
     // invalidation / LRU pressure reclaims it.
-    std::string key = RelationTrieKey(name, entry->second.version, order);
-    {
-      std::lock_guard<std::mutex> lock(self->trie_cache_mu_);
-      auto hit = self->TrieCacheLookupLocked(key);
-      if (hit != nullptr) {
-        ++self->trie_cache_hits_;
-        MetricsAdd(metrics, "db.trie_cache.hits", 1);
-        return hit;
-      }
-    }
-    // Cache miss: a cancelled query must not pay for (or fault tests
-    // silently survive) a cold build.
-    if (cancel != nullptr && cancel->cancelled()) return cancel->status();
-    if (XJOIN_FAULT("trie.build")) {
-      return Status::Internal("fault injection: trie build for " + name +
-                              " failed (site trie.build)");
-    }
-    // Build outside the lock (concurrent queries may race to build the
-    // same trie; the insert below keeps the first and the extra build
-    // is discarded — correctness over double-build avoidance).
-    TrieBuildOptions build_options;
-    build_options.num_threads = num_threads;
-    build_options.metrics = metrics;
-    XJ_ASSIGN_OR_RETURN(RelationTrie trie,
-                        RelationTrie::Build(relation, order, build_options));
-    auto shared = std::make_shared<const RelationTrie>(std::move(trie));
-    std::lock_guard<std::mutex> lock(self->trie_cache_mu_);
-    ++self->trie_cache_misses_;
-    MetricsAdd(metrics, "db.trie_cache.misses", 1);
-    int64_t before = self->trie_cache_evictions_;
-    self->TrieCacheInsertLocked(std::move(key), name, shared);
-    MetricsAdd(metrics, "db.trie_cache.evictions",
-               self->trie_cache_evictions_ - before);
-    return shared;
+    return CacheOrBuildTrie(
+        RelationTrieKey(name, entry->second.version, order), name, metrics,
+        num_threads, cancel, [&](const TrieBuildOptions& build_options) {
+          return RelationTrie::Build(relation, order, build_options);
+        });
   };
 }
 
 PathTrieProvider MultiModelDatabase::CachePathTrieProvider(
     std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
     int num_threads, const CancellationToken* cancel) const {
-  const MultiModelDatabase* self = this;
-  return [self, snap = std::move(snap), metrics, num_threads, cancel](
+  return [this, snap = std::move(snap), metrics, num_threads, cancel](
              const PathRelation& relation, const std::string& signature)
              -> Result<std::shared_ptr<const RelationTrie>> {
     std::string doc_name = SnapshotDocumentNameOf(*snap, &relation.index());
@@ -708,37 +727,14 @@ PathTrieProvider MultiModelDatabase::CachePathTrieProvider(
       return std::shared_ptr<const RelationTrie>();
     }
     uint64_t version = snap->documents.find(doc_name)->second.version;
-    std::string key = PathTrieKey(doc_name, version, signature);
-    {
-      std::lock_guard<std::mutex> lock(self->trie_cache_mu_);
-      auto hit = self->TrieCacheLookupLocked(key);
-      if (hit != nullptr) {
-        ++self->trie_cache_hits_;
-        MetricsAdd(metrics, "db.trie_cache.hits", 1);
-        return hit;
-      }
-    }
-    if (cancel != nullptr && cancel->cancelled()) return cancel->status();
-    if (XJOIN_FAULT("trie.build")) {
-      return Status::Internal("fault injection: path trie build for " +
-                              doc_name + " failed (site trie.build)");
-    }
-    TrieBuildOptions build_options;
-    build_options.num_threads = num_threads;
-    build_options.metrics = metrics;
-    XJ_ASSIGN_OR_RETURN(Relation materialized, relation.Materialize());
-    XJ_ASSIGN_OR_RETURN(RelationTrie trie,
-                        RelationTrie::Build(materialized, relation.attributes(),
-                                            build_options));
-    auto shared = std::make_shared<const RelationTrie>(std::move(trie));
-    std::lock_guard<std::mutex> lock(self->trie_cache_mu_);
-    ++self->trie_cache_misses_;
-    MetricsAdd(metrics, "db.trie_cache.misses", 1);
-    int64_t before = self->trie_cache_evictions_;
-    self->TrieCacheInsertLocked(std::move(key), doc_name, shared);
-    MetricsAdd(metrics, "db.trie_cache.evictions",
-               self->trie_cache_evictions_ - before);
-    return shared;
+    return CacheOrBuildTrie(
+        PathTrieKey(doc_name, version, signature), doc_name, metrics,
+        num_threads, cancel,
+        [&](const TrieBuildOptions& build_options) -> Result<RelationTrie> {
+          XJ_ASSIGN_OR_RETURN(Relation materialized, relation.Materialize());
+          return RelationTrie::Build(materialized, relation.attributes(),
+                                     build_options);
+        });
   };
 }
 
@@ -755,6 +751,12 @@ void MultiModelDatabase::ClearPlanCache() {
 void MultiModelDatabase::SetPlanCacheCapacity(size_t max_plans) {
   std::lock_guard<std::mutex> lock(plan_cache_mu_);
   plan_cache_capacity_ = max_plans;
+  EvictPlansLocked();
+}
+
+void MultiModelDatabase::EvictPlansLocked() const {
+  // Evicting a plan also releases its pinned tries and storage (the
+  // trie byte budget bounds the cache, the plan capacity the pins).
   while (plan_cache_.size() > plan_cache_capacity_) {
     plan_cache_.erase(plan_lru_.back());
     plan_lru_.pop_back();
@@ -886,50 +888,63 @@ std::vector<std::string> MultiModelDatabase::TenantPoolNames() const {
   return names;
 }
 
-void MultiModelDatabase::AttachSnapshotSources(
-    XJoinPlan* plan, const internal::DatabaseSnapshot& snap,
-    std::string key) const {
-  for (const auto& nr : plan->query.relations) {
-    auto it = snap.relations.find(nr.name);
-    if (it == snap.relations.end()) continue;  // defensive; parse bound it
-    plan->sources.push_back({nr.name, /*is_document=*/false,
-                             it->second.version});
-    // Pin the snapshot storage the plan's raw pointers reference, so
-    // the plan outlives any later copy-on-swap of the registry entry.
-    plan->pins.push_back(it->second.relation);
-  }
-  for (const auto& ti : plan->query.twigs) {
-    std::string doc_name = SnapshotDocumentNameOf(snap, ti.index);
-    if (doc_name.empty()) continue;  // defensive; parse binds our docs
-    auto it = snap.documents.find(doc_name);
-    plan->sources.push_back({doc_name, /*is_document=*/true,
-                             it->second.version});
-    plan->pins.push_back(it->second.index);
-    plan->pins.push_back(it->second.doc);
-  }
-  plan->cache_key = std::move(key);
-}
-
 bool MultiModelDatabase::PlanMatchesRegistry(const XJoinPlan& plan) const {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  for (const auto& source : plan.sources) {
-    if (source.is_document) {
-      auto it = documents_.find(source.name);
-      if (it == documents_.end() || it->second.version != source.version) {
-        return false;
-      }
-    } else {
-      auto it = relations_.find(source.name);
-      if (it == relations_.end() || it->second.version != source.version) {
-        return false;
-      }
-    }
+  return PlanMatchesSnapshot(plan, registry_);
+}
+
+XJoinOptions MultiModelDatabase::WithCacheProviders(
+    const XJoinOptions& options,
+    const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const {
+  XJoinOptions wired = options;
+  const int num_threads = std::max(1, options.num_threads);
+  if (!wired.trie_provider) {
+    wired.trie_provider =
+        CacheTrieProvider(snap, options.metrics, num_threads, options.cancel);
   }
-  return true;
+  if (!wired.path_trie_provider) {
+    wired.path_trie_provider = CachePathTrieProvider(
+        snap, options.metrics, num_threads, options.cancel);
+  }
+  return wired;
+}
+
+std::shared_ptr<const XJoinPlan> MultiModelDatabase::PublishPlan(
+    std::shared_ptr<XJoinPlan> plan, const internal::DatabaseSnapshot& snap,
+    std::string key, bool rebound, Metrics* metrics) const {
+  AttachSnapshotSources(plan.get(), snap, key);
+  std::shared_ptr<const XJoinPlan> shared = std::move(plan);
+  // Publish only when the plan's versions still match the *current*
+  // registry. A plan prepared (or rebound) on an old snapshot stays
+  // private to its session: inserting it would poison the cache for
+  // new sessions (their validation would drop it, thrashing) or
+  // clobber the entry current sessions are hitting.
+  const bool current = PlanMatchesRegistry(*shared);
+  std::lock_guard<std::mutex> lock(plan_cache_mu_);
+  if (rebound) {
+    ++plan_cache_rebinds_;
+    MetricsAdd(metrics, "db.plan_cache.rebinds", 1);
+  } else {
+    ++plan_cache_misses_;
+    MetricsAdd(metrics, "db.plan_cache.misses", 1);
+  }
+  if (current && plan_cache_capacity_ > 0) {
+    auto it = plan_cache_.find(key);
+    if (it != plan_cache_.end()) {
+      it->second.plan = shared;
+      plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru);
+    } else {
+      plan_lru_.push_front(key);
+      plan_cache_.emplace(std::move(key),
+                          PlanCacheEntry{shared, plan_lru_.begin()});
+    }
+    EvictPlansLocked();
+  }
+  return shared;
 }
 
 Result<std::shared_ptr<const XJoinPlan>>
-MultiModelDatabase::PreparePlanSnapshot(
+MultiModelDatabase::ResolvePlan(
     const std::string& text, const XJoinOptions& options,
     const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const {
   std::string key = PlanCacheKey(text, options);
@@ -996,45 +1011,16 @@ MultiModelDatabase::PreparePlanSnapshot(
       for (auto& nr : query.relations) {
         nr.relation = snap->relations.find(nr.name)->second.relation.get();
       }
-      XJoinOptions rebind_options = options;
-      int num_threads = std::max(1, options.num_threads);
-      if (!rebind_options.trie_provider) {
-        rebind_options.trie_provider =
-            CacheTrieProvider(snap, options.metrics, num_threads,
-                              options.cancel);
-      }
-      if (!rebind_options.path_trie_provider) {
-        rebind_options.path_trie_provider =
-            CachePathTrieProvider(snap, options.metrics, num_threads,
-                                  options.cancel);
-      }
-      XJ_ASSIGN_OR_RETURN(std::shared_ptr<XJoinPlan> plan,
-                          RebindXJoin(*stale, query, rebind_options));
-      AttachSnapshotSources(plan.get(), *snap, key);
-      std::shared_ptr<const XJoinPlan> shared = std::move(plan);
-      // Same publish gate as a miss: a rebind for an *old* snapshot
-      // stays private to its session instead of clobbering the entry
-      // current sessions are hitting.
-      bool current_valid = PlanMatchesRegistry(*shared);
-      std::lock_guard<std::mutex> lock(plan_cache_mu_);
-      ++plan_cache_rebinds_;
-      MetricsAdd(options.metrics, "db.plan_cache.rebinds", 1);
-      if (current_valid && plan_cache_capacity_ > 0) {
-        auto it = plan_cache_.find(key);
-        if (it != plan_cache_.end()) {
-          plan_lru_.erase(it->second.lru);
-          plan_cache_.erase(it);
-        }
-        plan_lru_.push_front(key);
-        plan_cache_.emplace(std::move(key),
-                            PlanCacheEntry{shared, plan_lru_.begin()});
-      }
-      return shared;
+      XJ_ASSIGN_OR_RETURN(
+          std::shared_ptr<XJoinPlan> plan,
+          RebindXJoin(*stale, query, WithCacheProviders(options, snap)));
+      return PublishPlan(std::move(plan), *snap, std::move(key),
+                         /*rebound=*/true, options.metrics);
     }
     // Not rebindable. Drop the entry only when it is also stale for the
-    // *current* registry (a back-door mutation or missed invalidation);
-    // when it is merely newer than this — old — session's snapshot,
-    // leave it for current sessions and build privately below.
+    // *current* registry (a missed invalidation); when it is merely
+    // newer than this — old — session's snapshot, leave it for current
+    // sessions and build privately below.
     if (!PlanMatchesRegistry(*stale)) {
       std::lock_guard<std::mutex> lock(plan_cache_mu_);
       auto it = plan_cache_.find(key);
@@ -1046,49 +1032,13 @@ MultiModelDatabase::PreparePlanSnapshot(
     }
   }
 
-  // Miss: parse against the snapshot, wire the database caches in
-  // (unless the caller brought providers), prepare, record sources and
-  // pins, publish.
+  // Miss: parse against the snapshot, prepare with the database caches
+  // wired in, publish.
   XJ_ASSIGN_OR_RETURN(MultiModelQuery query, ParseQuery(text, *snap));
-  XJoinOptions prepare_options = options;
-  int num_threads = std::max(1, options.num_threads);
-  if (!prepare_options.trie_provider) {
-    prepare_options.trie_provider =
-        CacheTrieProvider(snap, options.metrics, num_threads, options.cancel);
-  }
-  if (!prepare_options.path_trie_provider) {
-    prepare_options.path_trie_provider =
-        CachePathTrieProvider(snap, options.metrics, num_threads,
-                              options.cancel);
-  }
   XJ_ASSIGN_OR_RETURN(std::shared_ptr<XJoinPlan> plan,
-                      PrepareXJoin(query, prepare_options));
-  AttachSnapshotSources(plan.get(), *snap, key);
-  std::shared_ptr<const XJoinPlan> shared = std::move(plan);
-
-  // Publish — but only when the plan's versions still match the
-  // *current* registry. A plan prepared on an old snapshot stays
-  // private to its session: inserting it would poison the cache for
-  // new sessions (their validation would drop it, thrashing).
-  bool current_valid = PlanMatchesRegistry(*shared);
-  std::lock_guard<std::mutex> lock(plan_cache_mu_);
-  ++plan_cache_misses_;
-  MetricsAdd(options.metrics, "db.plan_cache.misses", 1);
-  if (current_valid && plan_cache_.count(key) == 0 &&
-      plan_cache_capacity_ > 0) {
-    plan_lru_.push_front(key);
-    plan_cache_.emplace(std::move(key),
-                        PlanCacheEntry{shared, plan_lru_.begin()});
-    // LRU capacity bound: evicting a plan also releases its pinned
-    // tries and storage (the trie byte budget bounds the cache, this
-    // bounds the pins).
-    while (plan_cache_.size() > plan_cache_capacity_) {
-      plan_cache_.erase(plan_lru_.back());
-      plan_lru_.pop_back();
-      ++plan_cache_evictions_;
-    }
-  }
-  return shared;
+                      PrepareXJoin(query, WithCacheProviders(options, snap)));
+  return PublishPlan(std::move(plan), *snap, std::move(key),
+                     /*rebound=*/false, options.metrics);
 }
 
 // ---------------------------------------------------------------------------
@@ -1208,10 +1158,7 @@ Result<Relation> MultiModelDatabase::RunPlan(
       }
       return baseline_result;
     }
-    XJoinOptions exec_options = options.xjoin;
-    if (exec_options.metrics == nullptr) {
-      exec_options.metrics = options.metrics;
-    }
+    XJoinOptions exec_options = PlanOptions(options);
     if (budget.limited()) exec_options.budget = &budget;
     return ExecutePlan(plan, exec_options);
   }();
@@ -1237,8 +1184,7 @@ Result<Relation> MultiModelDatabase::RunQuery(
     shell.query = std::move(query);
     return RunPlan(shell, options, session_cancel, nullptr);
   }
-  XJoinOptions xopts = options.xjoin;
-  if (xopts.metrics == nullptr) xopts.metrics = options.metrics;
+  XJoinOptions xopts = PlanOptions(options);
   // Prepare-time cancellation: the cold path builds tries, which a
   // cancelled caller should never pay for. (Execution attaches every
   // scope to the budget tracker; prepare polls one token directly.)
@@ -1246,7 +1192,7 @@ Result<Relation> MultiModelDatabase::RunQuery(
     xopts.cancel = options.cancel != nullptr ? options.cancel : session_cancel;
   }
   Result<std::shared_ptr<const XJoinPlan>> plan =
-      PreparePlanSnapshot(text, xopts, snap);
+      ResolvePlan(text, xopts, snap);
   if (!plan.ok()) {
     // A query cancelled while its plan was still being prepared never
     // reached admission, but it still finished kCancelled — count it so
@@ -1258,56 +1204,6 @@ Result<Relation> MultiModelDatabase::RunQuery(
     return plan.status();
   }
   return RunPlan(**plan, options, session_cancel, nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated one-shot entry points (thin wrappers over a throwaway
-// snapshot; see the README migration table)
-// ---------------------------------------------------------------------------
-
-Result<Relation> MultiModelDatabase::Query(const std::string& text,
-                                           const QueryOptions& options) const {
-  return RunQuery(text, options, TakeSnapshot(), nullptr);
-}
-
-Result<Relation> MultiModelDatabase::Query(const std::string& text,
-                                           Engine engine,
-                                           Metrics* metrics) const {
-  QueryOptions options;
-  options.engine = engine;
-  options.metrics = metrics;
-  return RunQuery(text, options, TakeSnapshot(), nullptr);
-}
-
-Result<Relation> MultiModelDatabase::QueryXJoin(const std::string& text,
-                                                XJoinOptions options) const {
-  QueryOptions query_options;
-  query_options.xjoin = std::move(options);
-  return RunQuery(text, query_options, TakeSnapshot(), nullptr);
-}
-
-Result<PreparedQuery> MultiModelDatabase::Prepare(
-    const std::string& text) const {
-  XJ_ASSIGN_OR_RETURN(std::shared_ptr<const XJoinPlan> plan,
-                      PreparePlanSnapshot(text, XJoinOptions{},
-                                          TakeSnapshot()));
-  return PreparedQuery{std::move(plan)};
-}
-
-Result<std::shared_ptr<const XJoinPlan>> MultiModelDatabase::PreparePlan(
-    const std::string& text, const XJoinOptions& options) const {
-  return PreparePlanSnapshot(text, options, TakeSnapshot());
-}
-
-Result<std::string> MultiModelDatabase::ExplainXJoin(
-    const std::string& text, const XJoinOptions& options) const {
-  QueryOptions query_options;
-  query_options.xjoin = options;
-  return OpenSession().Explain(text, query_options);
-}
-
-Result<std::string> MultiModelDatabase::Explain(const std::string& text) const {
-  return ExplainXJoin(text, XJoinOptions{});
 }
 
 }  // namespace xjoin

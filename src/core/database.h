@@ -72,11 +72,11 @@ class MultiModelDatabase;
 
 namespace internal {
 
-/// The immutable payload behind a Session: every relation/document at
-/// snapshot time, pinned via shared_ptr with its version. Shared
-/// (shared_ptr) with plans and providers so a moved-from or destroyed
-/// Session never invalidates an in-flight query. Internal — reach it
-/// through Session.
+/// Every relation/document with its version, pinned via shared_ptr. The
+/// database keeps its registry in this form, and a Session holds an
+/// immutable copy of it, shared (shared_ptr) with plans and providers so
+/// a moved-from or destroyed Session never invalidates an in-flight
+/// query. Internal — reach it through Session.
 struct SnapshotRelation {
   std::shared_ptr<const Relation> relation;
   uint64_t version = 0;
@@ -99,17 +99,15 @@ enum class Engine {
   kBaseline,  ///< per-model evaluation + combine (Figure 3 baseline)
 };
 
-/// The one options struct for every query entry point (replaces the old
-/// Query(text, engine, metrics) vs QueryXJoin(text, XJoinOptions)
-/// duality): engine choice, the full XJoin knob set, and per-query
-/// admission budgets.
+/// The options of one Session call: engine choice, the full XJoin knob
+/// set, and per-query admission budgets.
 struct QueryOptions {
   /// Which engine evaluates the query. The budgets below apply to both;
   /// the XJoin engine enforces them mid-flight (it aborts expansion the
   /// moment a ceiling is crossed), the baseline engine post-hoc (each
   /// per-model stage completes, then the combined result is checked).
   Engine engine = Engine::kXJoin;
-  /// XJoin execution knobs (order, sharding, batching, providers...).
+  /// XJoin execution knobs (order, sharding, pruning, providers...).
   /// Ignored by the baseline engine. xjoin.metrics / xjoin.budget are
   /// overridden by the fields below when those are set.
   XJoinOptions xjoin;
@@ -145,12 +143,11 @@ struct QueryOptions {
 };
 
 /// A prepared statement: a pinned, immutable execution plan plus the
-/// parsed query embedded in it. Obtained from Session::Prepare (or the
-/// deprecated MultiModelDatabase::Prepare) and replayed with
-/// Session::Execute. The plan pins its snapshot storage and tries via
-/// shared_ptr, so it stays executable — against the data it was
-/// prepared on — even after updates replace the registry entries or the
-/// caches evict.
+/// parsed query embedded in it. Obtained from Session::Prepare and
+/// replayed with Session::Execute. The plan pins its snapshot storage
+/// and tries via shared_ptr, so it stays executable — against the data
+/// it was prepared on — even after updates replace the registry entries
+/// or the caches evict.
 struct PreparedQuery {
   std::shared_ptr<const XJoinPlan> plan;
 
@@ -229,10 +226,9 @@ class Session {
   std::shared_ptr<CancellationToken> cancel_;
 };
 
-/// One atomically consistent reading of every cache counter — a single
-/// call where the nine legacy per-counter getters each took (and
-/// released) a lock, so two counters could straddle an intervening
-/// query. Trie and plan sections are each internally consistent.
+/// One atomically consistent reading of every cache and admission
+/// counter: the trie and plan sections are read together under both
+/// cache locks, so no query can land between two of their counters.
 struct CacheStats {
   // Trie cache (relation + materialized path tries, shared LRU).
   size_t trie_entries = 0;
@@ -277,9 +273,8 @@ struct RelationDelta {
 };
 
 /// The serving core. Registration/update calls are serialized against
-/// each other by an internal writer lock; queries (through sessions or
-/// the deprecated direct entry points) run concurrently with each other
-/// and with writers.
+/// each other by an internal writer lock. Queries go through a Session
+/// (OpenSession) and run concurrently with each other and with writers.
 class MultiModelDatabase {
  public:
   MultiModelDatabase() = default;
@@ -376,44 +371,6 @@ class MultiModelDatabase {
   /// Registered pool names, sorted.
   std::vector<std::string> TenantPoolNames() const;
 
-  /// Unified one-shot entry point: OpenSession() + Session::Query.
-  /// (No-options calls resolve to the deprecated overload below.)
-  Result<Relation> Query(const std::string& text,
-                         const QueryOptions& options) const;
-
-  // --- deprecated one-shot API (thin wrappers over a throwaway
-  //     session; see the README migration table). Kept so existing
-  //     callers compile; new code should use OpenSession(). ---
-
-  /// Deprecated: use Query(text, QueryOptions) or Session::Query.
-  Result<Relation> Query(const std::string& text,
-                         Engine engine = Engine::kXJoin,
-                         Metrics* metrics = nullptr) const;
-
-  /// Deprecated: use Query(text, QueryOptions) with options.xjoin.
-  Result<Relation> QueryXJoin(const std::string& text,
-                              XJoinOptions options) const;
-
-  /// Deprecated: use Session::Prepare (the returned PreparedQuery is
-  /// the same pinned-plan type).
-  Result<PreparedQuery> Prepare(const std::string& text) const;
-
-  /// Deprecated: use Session::Prepare and PreparedQuery::plan.
-  Result<std::shared_ptr<const XJoinPlan>> PreparePlan(
-      const std::string& text, const XJoinOptions& options = {}) const;
-
-  /// Deprecated: use Session::Explain.
-  Result<std::string> ExplainXJoin(const std::string& text,
-                                   const XJoinOptions& options = {}) const;
-  Result<std::string> Explain(const std::string& text) const;
-
-  /// Explicit trie-cache invalidation hook: drops cached relation tries
-  /// for relation `name` (every attribute order) or cached path tries
-  /// for document `name`. UpdateRelation / UpdateDocument call this
-  /// automatically; call it yourself after mutating storage through any
-  /// other back door.
-  void InvalidateTrieCache(const std::string& name);
-
   /// Drops every cached trie (all relations and documents). Sessions
   /// and prepared statements keep their pinned tries.
   void ClearTrieCache();
@@ -441,27 +398,6 @@ class MultiModelDatabase {
   /// One atomically consistent snapshot of every cache counter.
   CacheStats cache_stats() const;
 
-  // --- deprecated per-counter getters: thin wrappers over
-  //     cache_stats(), one lock round-trip each. Kept so existing
-  //     callers compile; new code should take one cache_stats() and
-  //     read fields off it. ---
-  size_t TrieCacheSize() const { return cache_stats().trie_entries; }
-  size_t trie_cache_bytes() const { return cache_stats().trie_bytes; }
-  int64_t trie_cache_hits() const { return cache_stats().trie_hits; }
-  int64_t trie_cache_misses() const { return cache_stats().trie_misses; }
-  int64_t trie_cache_evictions() const {
-    return cache_stats().trie_evictions;
-  }
-  size_t PlanCacheSize() const { return cache_stats().plan_entries; }
-  int64_t plan_cache_hits() const { return cache_stats().plan_hits; }
-  int64_t plan_cache_misses() const { return cache_stats().plan_misses; }
-  int64_t plan_cache_invalidations() const {
-    return cache_stats().plan_invalidations;
-  }
-  int64_t plan_cache_evictions() const {
-    return cache_stats().plan_evictions;
-  }
-
   /// Monotonic per-relation / per-document versions, bumped by
   /// UpdateRelation / UpdateDocument; part of the trie- and plan-cache
   /// keys. NotFound for unknown names. These read the *current*
@@ -471,17 +407,6 @@ class MultiModelDatabase {
 
  private:
   friend class Session;
-
-  struct DocumentEntry {
-    std::shared_ptr<const XmlDocument> doc;
-    std::shared_ptr<const NodeIndex> index;
-    uint64_t version = 0;
-  };
-
-  struct RelationEntry {
-    std::shared_ptr<const Relation> relation;
-    uint64_t version = 0;
-  };
 
   /// One cached trie (relation or materialized path), on the shared
   /// byte-budget LRU list. `owner` is the relation or document name,
@@ -502,15 +427,29 @@ class MultiModelDatabase {
   Result<MultiModelQuery> ParseQuery(
       const std::string& text, const internal::DatabaseSnapshot& snap) const;
 
-  /// The snapshot-aware planning path behind every entry point: plan
-  /// cache lookup validated against the snapshot's versions, private
-  /// prepare on miss, insert only when the snapshot is still current
-  /// (an old session builds privately rather than poisoning the cache
-  /// for new sessions, and never drops an entry that is valid for the
-  /// current registry).
-  Result<std::shared_ptr<const XJoinPlan>> PreparePlanSnapshot(
+  /// The snapshot-aware planning path behind every Session call: plan
+  /// cache lookup validated against the snapshot's versions, rebind or
+  /// private prepare otherwise, publish only when the snapshot is still
+  /// current (an old session builds privately rather than poisoning the
+  /// cache for new sessions, and never drops an entry that is valid for
+  /// the current registry).
+  Result<std::shared_ptr<const XJoinPlan>> ResolvePlan(
       const std::string& text, const XJoinOptions& options,
       const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const;
+
+  /// `options` with the database's trie caches wired in as providers
+  /// (unless the caller brought its own), over snapshot `snap`.
+  XJoinOptions WithCacheProviders(
+      const XJoinOptions& options,
+      const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const;
+
+  /// Attaches `snap`'s sources and pins to a freshly prepared
+  /// (`rebound` false) or rebound plan, counts the miss or rebind, and
+  /// publishes the plan under `key` when it matches the current
+  /// registry: insert or replace, then evict down to capacity.
+  std::shared_ptr<const XJoinPlan> PublishPlan(
+      std::shared_ptr<XJoinPlan> plan, const internal::DatabaseSnapshot& snap,
+      std::string key, bool rebound, Metrics* metrics) const;
 
   /// The unified execution path behind Session::Query / Execute:
   /// tenant admission, budget + cancel-source construction, engine
@@ -530,19 +469,28 @@ class MultiModelDatabase {
   Result<std::shared_ptr<TenantPool>> ResolveTenant(
       const std::string& tenant) const;
 
-  /// The TrieProvider XJoin consults for relation tries: cache lookup,
-  /// build and insert on miss (cache-miss builds use `num_threads`
-  /// workers). Thread-safe against concurrent queries; identity and
-  /// versions come from the captured snapshot. `cancel` (nullable)
-  /// aborts before a cold build.
+  /// The TrieProvider XJoin consults for relation tries, and its
+  /// PathTrieProvider twin for materialized path tries: each maps its
+  /// input to a cache key, owner, and build closure and hands them to
+  /// CacheOrBuildTrie. Thread-safe against concurrent queries; identity
+  /// and versions come from the captured snapshot; cache-miss builds use
+  /// `num_threads` workers; `cancel` (nullable) aborts before a build.
   TrieProvider CacheTrieProvider(
       std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
       int num_threads, const CancellationToken* cancel) const;
-
-  /// Likewise for materialized path tries (materialize_paths queries).
   PathTrieProvider CachePathTrieProvider(
       std::shared_ptr<const internal::DatabaseSnapshot> snap, Metrics* metrics,
       int num_threads, const CancellationToken* cancel) const;
+
+  /// The one cache-or-build step behind both providers: lookup (a hit
+  /// counts and returns), then on a miss the cancel check, the
+  /// "trie.build" fault site, `build(TrieBuildOptions)` outside the
+  /// lock, the insert, and the miss and eviction counters. Defined and
+  /// instantiated in database.cc only.
+  template <typename Build>
+  Result<std::shared_ptr<const RelationTrie>> CacheOrBuildTrie(
+      std::string key, const std::string& owner, Metrics* metrics,
+      int num_threads, const CancellationToken* cancel, Build&& build) const;
 
   /// Shared LRU plumbing (callers hold trie_cache_mu_; const because
   /// the providers run on the const query path — all touched state is
@@ -551,15 +499,24 @@ class MultiModelDatabase {
       const std::string& key) const;
   void TrieCacheInsertLocked(std::string key, std::string owner,
                              std::shared_ptr<const RelationTrie> trie) const;
+  /// Drops every cached trie of `owner` whose key starts with
+  /// `key_prefix`.
+  void EraseTriesLocked(const std::string& owner,
+                        const std::string& key_prefix) const;
+  /// Evicts LRU-tail tries while over budget, keeping at least `keep`.
+  void EvictTriesLocked(size_t keep) const;
+
+  /// Drops cached relation tries for relation `name` (every attribute
+  /// order) or cached path tries for document `name`. Every writer
+  /// that replaces storage calls it after publishing.
+  void InvalidateTrieCache(const std::string& name);
 
   /// Drops cached plans whose sources include `name`.
   void InvalidatePlans(const std::string& name);
 
-  /// Attaches snapshot versions, storage pins, and the cache key to a
-  /// freshly prepared (or rebound) plan.
-  void AttachSnapshotSources(
-      XJoinPlan* plan, const internal::DatabaseSnapshot& snap,
-      std::string key) const;
+  /// Evicts LRU-tail plans down to capacity (callers hold
+  /// plan_cache_mu_).
+  void EvictPlansLocked() const;
 
   /// Whether every source of `plan` matches the current registry
   /// version (callers must NOT hold registry_mu_).
@@ -577,17 +534,17 @@ class MultiModelDatabase {
   double trie_delta_ratio_ = 0.25;     // guarded by update_mu_
   size_t trie_delta_min_rows_ = 64;    // guarded by update_mu_
 
-  /// The registry. Readers (sessions, lookups) take registry_mu_
-  /// shared; Register*/Update* take it exclusive, swap the shared_ptr
-  /// payload, and bump the version — old payloads stay alive while any
+  /// The registry, in snapshot form so a Session is one copy of it.
+  /// Readers (sessions, lookups) take registry_mu_ shared;
+  /// Register*/Update* take it exclusive, swap the shared_ptr payload,
+  /// and bump the version — old payloads stay alive while any
   /// session, plan, or in-flight query pins them. Lock order: never
   /// acquire a cache mutex while holding registry_mu_ (Update* swaps
   /// under the lock, releases it, then invalidates the caches; the
   /// plan-cache path may take registry_mu_ shared while holding
   /// plan_cache_mu_).
   mutable std::shared_mutex registry_mu_;
-  std::map<std::string, RelationEntry> relations_;
-  std::map<std::string, DocumentEntry> documents_;
+  internal::DatabaseSnapshot registry_;
 
   mutable std::mutex trie_cache_mu_;
   // Front = most recently used. The index maps cache key -> list node.

@@ -104,7 +104,6 @@ class Engine {
         filter_metrics_(filter_metrics),
         out_(out),
         budget_(budget != nullptr && budget->limited() ? budget : nullptr),
-        count_cancel_(budget_ != nullptr && budget_->has_cancel()),
         row_bytes_(static_cast<int64_t>(plan.size()) * 8),
         prefix_(plan.size(), 0),
         level_totals_(plan.size(), 0),
@@ -126,7 +125,6 @@ class Engine {
   const std::vector<int64_t>& level_totals() const { return level_totals_; }
   int64_t seeks() const { return seeks_; }
   int64_t total_intermediate() const { return total_intermediate_; }
-  int64_t cancel_checks() const { return cancel_checks_; }
 
  private:
   static constexpr size_t kBlock = kDefaultResultBatchCapacity;
@@ -149,7 +147,6 @@ class Engine {
           // cancel deterministically mid-expansion. Never fails.
           (void)XJOIN_FAULT("gj.tick");
         }
-        if (count_cancel_) ++cancel_checks_;
         if (budget_->violated()) break;
       }
       bool have;
@@ -648,10 +645,8 @@ class Engine {
   Metrics* filter_metrics_;
   Relation* out_;
   BudgetTracker* budget_;   // null when the query has no finite budget
-  bool count_cancel_;       // count cancellation polls (a token is attached)
   int64_t row_bytes_;       // bytes charged per materialized output row
   int64_t budget_ticks_ = 0;
-  int64_t cancel_checks_ = 0;
   Tuple prefix_;
   std::vector<int64_t> level_totals_;
   ResultBatch batch_;
@@ -666,7 +661,7 @@ class Engine {
 // engine always has.
 void PublishMetrics(Metrics* metrics, const std::vector<int64_t>& level_totals,
                     int64_t seeks, int64_t total_intermediate,
-                    int64_t output_rows, int64_t cancel_checks = 0) {
+                    int64_t output_rows) {
   if (metrics == nullptr) return;
   int64_t max_level = 0;
   for (size_t d = 0; d < level_totals.size(); ++d) {
@@ -678,9 +673,6 @@ void PublishMetrics(Metrics* metrics, const std::vector<int64_t>& level_totals,
   metrics->Add("gj.total_intermediate", total_intermediate);
   metrics->Add("gj.seeks", seeks);
   metrics->Add("gj.output", output_rows);
-  // Only cancellable queries count their polls, so runs without a token
-  // keep an identical counter set.
-  if (cancel_checks > 0) metrics->Add("gj.cancel_checks", cancel_checks);
 }
 
 // Enumerates the distinct keys of the level-0 intersection (the shard
@@ -848,8 +840,7 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     }
     PublishMetrics(options.metrics, engine.level_totals(), engine.seeks(),
                    engine.total_intermediate(),
-                   static_cast<int64_t>(out.num_rows()),
-                   engine.cancel_checks());
+                   static_cast<int64_t>(out.num_rows()));
     if (requested_shards > 1 && options.metrics != nullptr) {
       options.metrics->Add("gj.shards", 1);
       options.metrics->Add("gj.shard_depth", 1);
@@ -866,7 +857,6 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     std::vector<int64_t> level_totals;
     int64_t seeks = 0;
     int64_t total_intermediate = 0;
-    int64_t cancel_checks = 0;
     // Shard-local bag handed to the prefix filter; merged into
     // options.metrics at the barrier so filter counters stay exact.
     Metrics metrics;
@@ -950,7 +940,6 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     shard.level_totals = engine.level_totals();
     shard.seeks = engine.seeks();
     shard.total_intermediate = engine.total_intermediate();
-    shard.cancel_checks = engine.cancel_checks();
   });
   if (budget != nullptr && budget->violated()) {
     return budget->status();
@@ -975,7 +964,6 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   std::vector<int64_t> level_totals(plan.size(), 0);
   int64_t seeks = 0;
   int64_t total_intermediate = 0;
-  int64_t cancel_checks = 0;
   for (Shard& shard : shards) {
     out.AppendRows(shard.out);
     for (size_t d = 0; d < shard.level_totals.size(); ++d) {
@@ -983,11 +971,10 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     }
     seeks += shard.seeks;
     total_intermediate += shard.total_intermediate;
-    cancel_checks += shard.cancel_checks;
     if (options.metrics != nullptr) options.metrics->MergeFrom(shard.metrics);
   }
   PublishMetrics(options.metrics, level_totals, seeks, total_intermediate,
-                 static_cast<int64_t>(out.num_rows()), cancel_checks);
+                 static_cast<int64_t>(out.num_rows()));
   if (options.metrics != nullptr) {
     options.metrics->Add("gj.shards", static_cast<int64_t>(num_shards));
     options.metrics->Add("gj.shard_depth", composite ? 2 : 1);

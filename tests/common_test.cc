@@ -342,7 +342,6 @@ TEST(BudgetTest, CancelSourceTripsViolatedAndYieldsTokenStatus) {
   budget.AddCancelSource(&token);  // idempotent
   budget.AddCancelSource(nullptr);
   EXPECT_TRUE(budget.limited());
-  EXPECT_TRUE(budget.has_cancel());
   EXPECT_FALSE(budget.violated());
   token.Cancel("caller hung up");
   EXPECT_TRUE(budget.violated());

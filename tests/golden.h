@@ -2,7 +2,9 @@
 // count, and every deterministic "gj." / "validate." / "xjoin." counter
 // of one run, recorded once from the row-at-a-time scalar engine (one
 // virtual Key/Next/Seek round per binding, one AppendRow per result
-// row) before that engine was retired. The single expansion loop must
+// row) before that engine was retired; the rejecting-path cases
+// ("plan/reject*") came later from the single loop and are held to the
+// brute-force reference by xjoin_test. The single expansion loop must
 // reproduce every record exactly under both of its cursor policies, at
 // every thread count and SIMD dispatch level the suites sweep.
 //
@@ -22,6 +24,8 @@
 #include <string>
 
 #include "common/metrics.h"
+#include "common/status.h"
+#include "core/database.h"
 #include "relational/relation.h"
 
 namespace xjoin::testing {
@@ -100,6 +104,26 @@ inline void ExpectGolden(const std::string& name, const Relation& rel,
   auto it = fixtures.find(name);
   ASSERT_NE(it, fixtures.end()) << "no golden record named " << name;
   EXPECT_EQ(ObserveRun(rel, metrics), it->second) << "golden record " << name;
+}
+
+/// The rejecting-path fixture. Its `item` nodes carry shared text
+/// values (g0..g2), so the value join of the twig item[B]/D's two paths
+/// admits (item, B, D) combinations no single item embeds: final
+/// validation rejects rows, and structural pruning cuts prefixes. The
+/// records "plan/reject*" hold kRejectingQuery over it.
+inline constexpr char kRejectingQuery[] = "Q(*) := T, mixed : item[B]/D";
+
+inline Status RegisterRejectingFixture(MultiModelDatabase* db) {
+  std::string xml = "<items>";
+  for (int i = 0; i < 10; ++i) {
+    xml += "<item>g" + std::to_string(i % 3) + "<B>b" +
+           std::to_string(i % 4) + "</B><D>d" + std::to_string(i % 5) +
+           "</D></item>";
+  }
+  xml += "</items>";
+  XJ_RETURN_NOT_OK(
+      db->RegisterRelationCsv("T", "B,E\nb0,e0\nb1,e1\nb2,e0\nb3,e1\n"));
+  return db->RegisterDocumentXml("mixed", xml);
 }
 
 }  // namespace xjoin::testing

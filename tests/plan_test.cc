@@ -14,6 +14,7 @@
 #include "common/string_util.h"
 #include "core/database.h"
 #include "core/xjoin.h"
+#include "relational/operators.h"
 #include "relational/result_batch.h"
 #include "tests/golden.h"
 
@@ -40,6 +41,14 @@ class PlanTest : public ::testing::Test {
                     .ok());
   }
 
+  // One query through a fresh session (the database's only query
+  // surface), with `xjoin` as its execution knobs.
+  Result<Relation> Run(const std::string& text, XJoinOptions xjoin = {}) {
+    QueryOptions options;
+    options.xjoin = std::move(xjoin);
+    return db_.OpenSession().Query(text, options);
+  }
+
   MultiModelDatabase db_;
   const std::string q_ = "Q(*) := R, S, doc : item[B]/D";
 };
@@ -59,32 +68,32 @@ TEST_F(PlanTest, CachedPlanReuseIsByteIdenticalToColdExecution) {
   Metrics cold_metrics;
   XJoinOptions cold;
   cold.metrics = &cold_metrics;
-  auto first = db_.QueryXJoin(q_, cold);
+  auto first = Run(q_, cold);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(cold_metrics.Get("db.plan_cache.misses"), 1);
   EXPECT_EQ(cold_metrics.Get("plan.prepared"), 1);
 
-  auto second = db_.QueryXJoin(q_, XJoinOptions{});
+  auto second = Run(q_);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->ToTuples(), second->ToTuples());
 
   // A plan-free execution over the same parsed query agrees byte for
   // byte (no database caches involved at all).
-  auto prepared = db_.Prepare(q_);
+  auto prepared = db_.OpenSession().Prepare(q_);
   ASSERT_TRUE(prepared.ok());
-  auto bare = ExecuteXJoin(prepared->query(), XJoinOptions{});
+  auto bare = ExecuteXJoin(prepared->query());
   ASSERT_TRUE(bare.ok());
   EXPECT_EQ(first->ToTuples(), bare->ToTuples());
 }
 
 TEST_F(PlanTest, PlanCacheHitSkipsPlanningAndTrieWork) {
-  ASSERT_TRUE(db_.QueryXJoin(q_, XJoinOptions{}).ok());
-  ASSERT_EQ(db_.PlanCacheSize(), 1u);
+  ASSERT_TRUE(Run(q_).ok());
+  ASSERT_EQ(db_.cache_stats().plan_entries, 1u);
 
   Metrics warm;
   XJoinOptions options;
   options.metrics = &warm;
-  ASSERT_TRUE(db_.QueryXJoin(q_, options).ok());
+  ASSERT_TRUE(Run(q_, options).ok());
   // The hit skips order selection + shard planning (no prepare ran),
   // every trie build, and does not even consult the trie cache — the
   // plan replays its pinned handles.
@@ -99,38 +108,38 @@ TEST_F(PlanTest, PlanCacheHitSkipsPlanningAndTrieWork) {
 }
 
 TEST_F(PlanTest, SpellingVariantsShareOnePlan) {
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", XJoinOptions{}).ok());
-  ASSERT_TRUE(db_.QueryXJoin("Q(*):=R,  S", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.PlanCacheSize(), 1u);
-  EXPECT_EQ(db_.plan_cache_hits(), 1);
+  ASSERT_TRUE(Run("Q(*) := R, S").ok());
+  ASSERT_TRUE(Run("Q(*):=R,  S").ok());
+  EXPECT_EQ(db_.cache_stats().plan_entries, 1u);
+  EXPECT_EQ(db_.cache_stats().plan_hits, 1);
 }
 
 TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   XJoinOptions serial;
-  ASSERT_TRUE(db_.QueryXJoin(q_, serial).ok());
+  ASSERT_TRUE(Run(q_, serial).ok());
   XJoinOptions threaded;
   threaded.num_threads = 2;
-  ASSERT_TRUE(db_.QueryXJoin(q_, threaded).ok());
+  ASSERT_TRUE(Run(q_, threaded).ok());
   XJoinOptions pruning;
   pruning.structural_pruning = true;
-  ASSERT_TRUE(db_.QueryXJoin(q_, pruning).ok());
+  ASSERT_TRUE(Run(q_, pruning).ok());
   XJoinOptions materialized;
   materialized.materialize_paths = true;
-  ASSERT_TRUE(db_.QueryXJoin(q_, materialized).ok());
-  EXPECT_EQ(db_.PlanCacheSize(), 4u);
-  EXPECT_EQ(db_.plan_cache_hits(), 0);
-  EXPECT_EQ(db_.plan_cache_misses(), 4);
+  ASSERT_TRUE(Run(q_, materialized).ok());
+  EXPECT_EQ(db_.cache_stats().plan_entries, 4u);
+  EXPECT_EQ(db_.cache_stats().plan_hits, 0);
+  EXPECT_EQ(db_.cache_stats().plan_misses, 4);
   // Re-running each variant hits its own entry.
-  ASSERT_TRUE(db_.QueryXJoin(q_, threaded).ok());
-  ASSERT_TRUE(db_.QueryXJoin(q_, materialized).ok());
-  EXPECT_EQ(db_.plan_cache_hits(), 2);
-  EXPECT_EQ(db_.PlanCacheSize(), 4u);
+  ASSERT_TRUE(Run(q_, threaded).ok());
+  ASSERT_TRUE(Run(q_, materialized).ok());
+  EXPECT_EQ(db_.cache_stats().plan_hits, 2);
+  EXPECT_EQ(db_.cache_stats().plan_entries, 4u);
 }
 
 TEST_F(PlanTest, ExplainShowsExecutionMode) {
   // Execution is always batched (block = kDefaultResultBatchCapacity)
   // and renders the live SIMD dispatch level plus a per-level kernel.
-  auto text = db_.ExplainXJoin(q_);
+  auto text = db_.OpenSession().Explain(q_);
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("execution: batched (columnar, block=" +
                        std::to_string(kDefaultResultBatchCapacity)),
@@ -150,7 +159,7 @@ TEST_F(PlanTest, ExecutionMatchesGoldenRecord) {
       options.num_threads = threads;
       Metrics metrics;
       options.metrics = &metrics;
-      auto result = db_.QueryXJoin(q_, options);
+      auto result = Run(q_, options);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       SCOPED_TRACE("pass=" + std::to_string(pass));
       testing::ExpectGolden("plan/q/t" + std::to_string(threads), *result,
@@ -159,10 +168,46 @@ TEST_F(PlanTest, ExecutionMatchesGoldenRecord) {
   }
 }
 
+// The rejecting path through the database: expansion yields rows that
+// final validation rejects, and with structural pruning the in-join
+// validator cuts prefixes. Cold and cached runs, serial and sharded,
+// reproduce the records, which xjoin_test checks against the
+// brute-force reference.
+TEST(PlanGoldenTest, RejectingPathMatchesGoldenRecord) {
+  MultiModelDatabase db;
+  ASSERT_TRUE(testing::RegisterRejectingFixture(&db).ok());
+  for (bool pruning : {false, true}) {
+    for (int threads : {1, 4}) {
+      for (int pass = 0; pass < 2; ++pass) {
+        QueryOptions options;
+        options.xjoin.structural_pruning = pruning;
+        options.xjoin.num_threads = threads;
+        Metrics metrics;
+        options.metrics = &metrics;
+        auto result =
+            db.OpenSession().Query(testing::kRejectingQuery, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        SCOPED_TRACE("pruning=" + std::to_string(pruning) +
+                     " pass=" + std::to_string(pass));
+        if (pruning) {
+          EXPECT_GT(metrics.Get("xjoin.pruned"), 0);
+        } else {
+          EXPECT_LT(metrics.Get("xjoin.validated"),
+                    metrics.Get("xjoin.expanded"));
+        }
+        testing::ExpectGolden(std::string("plan/reject") +
+                                  (pruning ? "_pruning" : "") + "/t" +
+                                  std::to_string(threads),
+                              *result, metrics);
+      }
+    }
+  }
+}
+
 TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {
-  ASSERT_TRUE(db_.QueryXJoin(q_, XJoinOptions{}).ok());
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := S", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.PlanCacheSize(), 2u);
+  ASSERT_TRUE(Run(q_).ok());
+  ASSERT_TRUE(Run("Q(*) := S").ok());
+  EXPECT_EQ(db_.cache_stats().plan_entries, 2u);
   EXPECT_EQ(*db_.relation_version("R"), 0u);
 
   Relation replacement = **db_.relation("R");
@@ -173,11 +218,11 @@ TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {
 
   // Version bump observed; only the plan reading R was dropped.
   EXPECT_EQ(*db_.relation_version("R"), 1u);
-  EXPECT_EQ(db_.PlanCacheSize(), 1u);
-  EXPECT_EQ(db_.plan_cache_invalidations(), 1);
+  EXPECT_EQ(db_.cache_stats().plan_entries, 1u);
+  EXPECT_EQ(db_.cache_stats().plan_invalidations, 1);
 
   // The re-prepared plan sees the new contents.
-  auto result = db_.QueryXJoin("Q(A, B, C) := R, S", XJoinOptions{});
+  auto result = Run("Q(A, B, C) := R, S");
   ASSERT_TRUE(result.ok());
   const Dictionary& dict = db_.dictionary();
   EXPECT_TRUE(result->ContainsRow(
@@ -187,11 +232,11 @@ TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {
 TEST_F(PlanTest, DocumentMutationInvalidatesPlansAndPathTries) {
   XJoinOptions mat;
   mat.materialize_paths = true;
-  ASSERT_TRUE(db_.QueryXJoin(q_, mat).ok());
+  ASSERT_TRUE(Run(q_, mat).ok());
   // 2 relation tries + 2 materialized path tries (item/B, item/D).
-  EXPECT_EQ(db_.TrieCacheSize(), 4u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 4u);
   EXPECT_EQ(*db_.document_version("doc"), 0u);
-  EXPECT_EQ(db_.PlanCacheSize(), 1u);
+  EXPECT_EQ(db_.cache_stats().plan_entries, 1u);
 
   ASSERT_TRUE(db_.UpdateDocumentXml("doc", R"(
       <items><item><B>x</B><D>5</D></item>
@@ -201,15 +246,15 @@ TEST_F(PlanTest, DocumentMutationInvalidatesPlansAndPathTries) {
   // Version bump observed; the document's path tries and the dependent
   // plan are gone, the relation tries stay.
   EXPECT_EQ(*db_.document_version("doc"), 1u);
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
-  EXPECT_EQ(db_.PlanCacheSize(), 0u);
-  EXPECT_GE(db_.plan_cache_invalidations(), 1);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
+  EXPECT_EQ(db_.cache_stats().plan_entries, 0u);
+  EXPECT_GE(db_.cache_stats().plan_invalidations, 1);
 
-  auto result = db_.QueryXJoin("Q(D) := R, S, doc : item[B]/D", mat);
+  auto result = Run("Q(D) := R, S, doc : item[B]/D", mat);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->ContainsRow({db_.dictionary().Lookup("7")}));
   // The new document's path tries were cached under the new version.
-  EXPECT_EQ(db_.TrieCacheSize(), 4u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 4u);
 
   // Updating an unregistered document fails.
   EXPECT_FALSE(db_.UpdateDocumentXml("nope", "<a/>").ok());
@@ -218,40 +263,40 @@ TEST_F(PlanTest, DocumentMutationInvalidatesPlansAndPathTries) {
 TEST_F(PlanTest, RepeatedMaterializedPathQueriesHitThePathTrieCache) {
   XJoinOptions mat;
   mat.materialize_paths = true;
-  ASSERT_TRUE(db_.QueryXJoin(q_, mat).ok());
-  int64_t misses = db_.trie_cache_misses();
+  ASSERT_TRUE(Run(q_, mat).ok());
+  int64_t misses = db_.cache_stats().trie_misses;
   EXPECT_EQ(misses, 4);  // 2 relations + 2 paths
 
   // Re-planning the same text pins all four tries from the cache.
   db_.ClearPlanCache();
   Metrics metrics;
   mat.metrics = &metrics;
-  ASSERT_TRUE(db_.QueryXJoin(q_, mat).ok());
-  EXPECT_EQ(db_.trie_cache_misses(), misses);
+  ASSERT_TRUE(Run(q_, mat).ok());
+  EXPECT_EQ(db_.cache_stats().trie_misses, misses);
   EXPECT_EQ(metrics.Get("db.trie_cache.hits"), 4);
 }
 
 TEST_F(PlanTest, ByteBudgetLruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(db_.trie_cache_budget(), size_t{256} << 20);  // default 256 MiB
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
-  EXPECT_GT(db_.trie_cache_bytes(), 0u);
+  ASSERT_TRUE(Run("Q(*) := R, S").ok());
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
+  EXPECT_GT(db_.cache_stats().trie_bytes, 0u);
 
   // Shrinking the budget below the current footprint evicts from the
   // LRU tail immediately.
   db_.SetTrieCacheBudget(1);
-  EXPECT_EQ(db_.TrieCacheSize(), 0u);
-  EXPECT_EQ(db_.trie_cache_bytes(), 0u);
-  EXPECT_EQ(db_.trie_cache_evictions(), 2);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 0u);
+  EXPECT_EQ(db_.cache_stats().trie_bytes, 0u);
+  EXPECT_EQ(db_.cache_stats().trie_evictions, 2);
 
   // Oversize tries are served uncached; queries still work.
   db_.ClearPlanCache();
   Metrics metrics;
   XJoinOptions options;
   options.metrics = &metrics;
-  auto result = db_.QueryXJoin("Q(*) := R, S", options);
+  auto result = Run("Q(*) := R, S", options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 0u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 0u);
   EXPECT_EQ(metrics.Get("db.trie_cache.misses"), 2);
 }
 
@@ -260,22 +305,60 @@ TEST_F(PlanTest, PlanCacheCapacityBoundsThePins) {
   // plan cache itself is LRU-capped.
   EXPECT_EQ(db_.plan_cache_capacity(), 256u);
   db_.SetPlanCacheCapacity(1);
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", XJoinOptions{}).ok());
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.PlanCacheSize(), 1u);
-  EXPECT_EQ(db_.plan_cache_evictions(), 1);
+  ASSERT_TRUE(Run("Q(*) := R, S").ok());
+  ASSERT_TRUE(Run("Q(*) := R").ok());
+  EXPECT_EQ(db_.cache_stats().plan_entries, 1u);
+  EXPECT_EQ(db_.cache_stats().plan_evictions, 1);
 
   // The resident plan hits; the evicted text re-prepares.
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.plan_cache_hits(), 1);
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.plan_cache_misses(), 3);
+  ASSERT_TRUE(Run("Q(*) := R").ok());
+  EXPECT_EQ(db_.cache_stats().plan_hits, 1);
+  ASSERT_TRUE(Run("Q(*) := R, S").ok());
+  EXPECT_EQ(db_.cache_stats().plan_misses, 3);
 
   // Capacity 0 disables plan caching entirely.
   db_.SetPlanCacheCapacity(0);
-  EXPECT_EQ(db_.PlanCacheSize(), 0u);
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R", XJoinOptions{}).ok());
-  EXPECT_EQ(db_.PlanCacheSize(), 0u);
+  EXPECT_EQ(db_.cache_stats().plan_entries, 0u);
+  ASSERT_TRUE(Run("Q(*) := R").ok());
+  EXPECT_EQ(db_.cache_stats().plan_entries, 0u);
+}
+
+// Rebinds publish through the same step as misses, so the plan cache
+// stays within capacity however delta-driven rebinds and misses
+// interleave — and every rebound plan answers like the baseline engine.
+TEST_F(PlanTest, RebindsStayWithinPlanCacheCapacity) {
+  db_.SetPlanCacheCapacity(1);
+  const std::string join = "Q(*) := R, S";
+  ASSERT_TRUE(Run(join).ok());
+  for (int step = 0; step < 6; ++step) {
+    SCOPED_TRACE("step=" + std::to_string(step));
+    Dictionary* dict = db_.mutable_dictionary();
+    RelationDelta delta;
+    delta.inserts = {{dict->Intern(std::to_string(10 + step)),
+                      dict->Intern(step % 2 == 1 ? "x" : "y")}};
+    ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
+    // Even steps find the join's plan resident and rebind it; odd steps
+    // first evict it with another query, so the join re-prepares.
+    if (step % 2 == 1) {
+      ASSERT_TRUE(Run("Q(*) := S").ok());
+    }
+    const int64_t rebinds = db_.cache_stats().plan_rebinds;
+    Session session = db_.OpenSession();
+    auto result = session.Query(join);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    QueryOptions baseline;
+    baseline.engine = Engine::kBaseline;
+    auto expected = session.Query(join, baseline);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto projected = Project(*expected, result->schema().attributes());
+    ASSERT_TRUE(projected.ok());
+    EXPECT_EQ(result->ToTuples(), projected->ToTuples());
+
+    const CacheStats stats = db_.cache_stats();
+    EXPECT_LE(stats.plan_entries, stats.plan_capacity);
+    EXPECT_GT(stats.plan_rebinds, 0);
+    EXPECT_EQ(stats.plan_rebinds, rebinds + (step % 2 == 0 ? 1 : 0));
+  }
 }
 
 TEST_F(PlanTest, ParallelValidationCountersAreExact) {
@@ -297,7 +380,7 @@ TEST_F(PlanTest, ParallelValidationCountersAreExact) {
   XJoinOptions serial_options;
   serial_options.structural_pruning = true;
   serial_options.metrics = &serial;
-  auto serial_result = db_.QueryXJoin(query, serial_options);
+  auto serial_result = Run(query, serial_options);
   ASSERT_TRUE(serial_result.ok());
 
   Metrics parallel;
@@ -305,7 +388,7 @@ TEST_F(PlanTest, ParallelValidationCountersAreExact) {
   parallel_options.structural_pruning = true;
   parallel_options.num_threads = 4;
   parallel_options.metrics = &parallel;
-  auto parallel_result = db_.QueryXJoin(query, parallel_options);
+  auto parallel_result = Run(query, parallel_options);
   ASSERT_TRUE(parallel_result.ok());
 
   EXPECT_EQ(serial_result->ToTuples(), parallel_result->ToTuples());
@@ -328,20 +411,20 @@ TEST_F(PlanTest, AdaptiveShardPlanGoesCompositeOnSmallLevel0Domains) {
   sharded.num_shards = 4;
   sharded.metrics = &metrics;
   sharded.attribute_order = {"A", "B", "C"};
-  auto sharded_result = db_.QueryXJoin("Q(*) := R, S", sharded);
+  auto sharded_result = Run("Q(*) := R, S", sharded);
   ASSERT_TRUE(sharded_result.ok());
   EXPECT_EQ(metrics.Get("gj.shard_depth"), 2);
   EXPECT_GE(metrics.Get("gj.shards"), 2);
 
   XJoinOptions serial;
   serial.attribute_order = {"A", "B", "C"};
-  auto serial_result = db_.QueryXJoin("Q(*) := R, S", serial);
+  auto serial_result = Run("Q(*) := R, S", serial);
   ASSERT_TRUE(serial_result.ok());
   EXPECT_EQ(serial_result->ToTuples(), sharded_result->ToTuples());
 }
 
-TEST_F(PlanTest, ExplainXJoinRendersThePlanAndCacheCounters) {
-  auto text = db_.ExplainXJoin(q_);
+TEST_F(PlanTest, ExplainRendersThePlanAndCacheCounters) {
+  auto text = db_.OpenSession().Explain(q_);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("query:"), std::string::npos);
   EXPECT_NE(text->find("relation R(A, B)"), std::string::npos);

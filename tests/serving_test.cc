@@ -104,13 +104,13 @@ TEST_F(ServingTest, ConcurrentReadersSeeConsistentSnapshots) {
   // maintain. expected[R parity][S parity] is the byte-exact answer.
   const std::string q = "Q(*) := R, S";
   std::vector<Tuple> expected[2][2];
-  expected[0][0] = db.Query(q)->ToTuples();
+  expected[0][0] = db.OpenSession().Query(q)->ToTuples();
   ASSERT_TRUE(db.UpdateRelation("S", Relation(s1)).ok());  // S v1
-  expected[0][1] = db.Query(q)->ToTuples();
+  expected[0][1] = db.OpenSession().Query(q)->ToTuples();
   ASSERT_TRUE(db.UpdateRelation("R", Relation(r1)).ok());  // R v1
-  expected[1][1] = db.Query(q)->ToTuples();
+  expected[1][1] = db.OpenSession().Query(q)->ToTuples();
   ASSERT_TRUE(db.UpdateRelation("S", Relation(s0)).ok());  // S v2
-  expected[1][0] = db.Query(q)->ToTuples();
+  expected[1][0] = db.OpenSession().Query(q)->ToTuples();
   ASSERT_TRUE(db.UpdateRelation("R", Relation(r0)).ok());  // R v2
   ASSERT_NE(expected[0][0], expected[1][1]);
 
@@ -191,6 +191,10 @@ TEST_F(ServingTest, ConcurrentDeltaWritersSeeConsistentSnapshots) {
   // Small thresholds so the stream keeps crossing the compaction
   // boundary: readers see pending side-files and freshly-folded cores.
   db.SetTrieDeltaCompaction(0.25, 8);
+  // One plan slot: the readers' two option variants (1 and 2 threads)
+  // evict each other while rebinds publish concurrently, and the cache
+  // must still end within capacity.
+  db.SetPlanCacheCapacity(1);
   auto parse = [&](const std::string& csv) {
     auto rel = ReadCsv(csv, CsvOptions{}, db.mutable_dictionary());
     EXPECT_TRUE(rel.ok());
@@ -209,13 +213,13 @@ TEST_F(ServingTest, ConcurrentDeltaWritersSeeConsistentSnapshots) {
   QueryOptions pinned;
   pinned.xjoin.attribute_order = {"A", "B", "C"};
   std::vector<Tuple> expected[2][2];
-  expected[0][0] = db.Query(q, pinned)->ToTuples();
+  expected[0][0] = db.OpenSession().Query(q, pinned)->ToTuples();
   ASSERT_TRUE(db.ApplyRelationDelta("S", DiffDelta(s0, s1)).ok());  // S v1
-  expected[0][1] = db.Query(q, pinned)->ToTuples();
+  expected[0][1] = db.OpenSession().Query(q, pinned)->ToTuples();
   ASSERT_TRUE(db.ApplyRelationDelta("R", DiffDelta(r0, r1)).ok());  // R v1
-  expected[1][1] = db.Query(q, pinned)->ToTuples();
+  expected[1][1] = db.OpenSession().Query(q, pinned)->ToTuples();
   ASSERT_TRUE(db.ApplyRelationDelta("S", DiffDelta(s1, s0)).ok());  // S v2
-  expected[1][0] = db.Query(q, pinned)->ToTuples();
+  expected[1][0] = db.OpenSession().Query(q, pinned)->ToTuples();
   ASSERT_TRUE(db.ApplyRelationDelta("R", DiffDelta(r1, r0)).ok());  // R v2
   ASSERT_NE(expected[0][0], expected[1][1]);
 
@@ -265,7 +269,9 @@ TEST_F(ServingTest, ConcurrentDeltaWritersSeeConsistentSnapshots) {
   threads[0].join();
   threads[1].join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(db.cache_stats().trie_patches, 0);
+  const CacheStats stats = db.cache_stats();
+  EXPECT_GT(stats.trie_patches, 0);
+  EXPECT_LE(stats.plan_entries, stats.plan_capacity);
 }
 
 TEST_F(ServingTest, SnapshotPinsSurviveCompactionUnderLivePin) {
@@ -314,18 +320,18 @@ TEST_F(ServingTest, PlanRebindKeepsPlansAcrossDeltaVersionBumps) {
   // Warm the plan cache, apply a delta, query again: the plan must be
   // re-pinned to the new trie versions (a rebind), not re-planned from
   // scratch, and the rebound entry must serve subsequent hits.
-  ASSERT_TRUE(db_.Query(q_).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
   CacheStats warm = db_.cache_stats();
   RelationDelta delta;
   delta.inserts = {{db_.mutable_dictionary()->Intern("888"),
                     db_.mutable_dictionary()->Intern("888")}};
   ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
-  ASSERT_TRUE(db_.Query(q_).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
   CacheStats after = db_.cache_stats();
   EXPECT_EQ(after.plan_rebinds, warm.plan_rebinds + 1);
   EXPECT_EQ(after.plan_misses, warm.plan_misses);  // no full re-plan
   EXPECT_EQ(after.plan_entries, warm.plan_entries);
-  ASSERT_TRUE(db_.Query(q_).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_).ok());
   EXPECT_EQ(db_.cache_stats().plan_hits, after.plan_hits + 1);
 }
 
@@ -355,13 +361,17 @@ TEST_F(ServingTest, BudgetDeadlineReturnsDeadlineExceeded) {
       << result.status().ToString();
 }
 
-TEST_F(ServingTest, UnlimitedBudgetMatchesLegacyApi) {
+TEST_F(ServingTest, UnlimitedAndUntrippedBudgetsAgree) {
   QueryOptions unlimited;  // all budgets 0
-  auto via_session = db_.OpenSession().Query(q_, unlimited);
-  auto via_legacy = db_.Query(q_);
-  ASSERT_TRUE(via_session.ok());
-  ASSERT_TRUE(via_legacy.ok());
-  EXPECT_EQ(via_session->ToTuples(), via_legacy->ToTuples());
+  QueryOptions generous;
+  generous.max_rows = 1 << 20;
+  generous.deadline_micros = 60'000'000;
+  auto zero = db_.OpenSession().Query(q_, unlimited);
+  auto bounded = db_.OpenSession().Query(q_, generous);
+  ASSERT_TRUE(zero.ok());
+  ASSERT_TRUE(bounded.ok());
+  EXPECT_GT(zero->num_rows(), 0u);
+  EXPECT_EQ(zero->ToTuples(), bounded->ToTuples());
 }
 
 TEST_F(ServingTest, BaselineEngineThroughUnifiedOptions) {
@@ -444,22 +454,27 @@ TEST_F(ServingTest, OldSessionPlansDoNotPoisonTheCacheForNewSessions) {
   EXPECT_EQ(final_stats.plan_entries, after_new.plan_entries);
 }
 
-TEST_F(ServingTest, CacheStatsMatchesLegacyGetters) {
-  ASSERT_TRUE(db_.Query(q_).ok());
-  ASSERT_TRUE(db_.Query(q_).ok());
-  CacheStats stats = db_.cache_stats();
-  EXPECT_EQ(stats.trie_entries, db_.TrieCacheSize());
-  EXPECT_EQ(stats.trie_bytes, db_.trie_cache_bytes());
-  EXPECT_EQ(stats.trie_hits, db_.trie_cache_hits());
-  EXPECT_EQ(stats.trie_misses, db_.trie_cache_misses());
-  EXPECT_EQ(stats.trie_evictions, db_.trie_cache_evictions());
-  EXPECT_EQ(stats.plan_entries, db_.PlanCacheSize());
-  EXPECT_EQ(stats.plan_hits, db_.plan_cache_hits());
-  EXPECT_EQ(stats.plan_misses, db_.plan_cache_misses());
-  EXPECT_EQ(stats.plan_invalidations, db_.plan_cache_invalidations());
-  EXPECT_EQ(stats.plan_evictions, db_.plan_cache_evictions());
-  EXPECT_GT(stats.plan_hits, 0);
-  EXPECT_GT(stats.trie_misses, 0);
+TEST_F(ServingTest, CacheStatsAgreeWithPerQueryMetrics) {
+  // Every db.* counter a query reports lands in cache_stats() too: on a
+  // fresh database, the per-query bags of all queries sum to the stats.
+  Metrics metrics;
+  QueryOptions options;
+  options.metrics = &metrics;
+  ASSERT_TRUE(db_.OpenSession().Query(q_, options).ok());
+  ASSERT_TRUE(db_.OpenSession().Query(q_, options).ok());
+  db_.ClearPlanCache();
+  ASSERT_TRUE(db_.OpenSession().Query(q_, options).ok());
+  const CacheStats stats = db_.cache_stats();
+  EXPECT_EQ(stats.plan_hits, metrics.Get("db.plan_cache.hits"));
+  EXPECT_EQ(stats.plan_misses, metrics.Get("db.plan_cache.misses"));
+  EXPECT_EQ(stats.trie_hits, metrics.Get("db.trie_cache.hits"));
+  EXPECT_EQ(stats.trie_misses, metrics.Get("db.trie_cache.misses"));
+  EXPECT_EQ(stats.admission_admitted, metrics.Get("db.admission.admitted"));
+  EXPECT_EQ(stats.plan_hits, 1);
+  EXPECT_EQ(stats.plan_misses, 2);
+  EXPECT_GT(stats.trie_hits, 0);
+  EXPECT_EQ(stats.trie_entries, static_cast<size_t>(stats.trie_misses));
+  EXPECT_GT(stats.trie_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,9 +490,8 @@ TEST_F(ServingTest, SessionCancelFailsItsQueriesOnly) {
   EXPECT_NE(result.status().ToString().find("tearing the session down"),
             std::string::npos)
       << result.status().ToString();
-  // Other sessions and the one-shot API are unaffected.
+  // Other sessions are unaffected.
   EXPECT_TRUE(db_.OpenSession().Query(q_).ok());
-  EXPECT_TRUE(db_.Query(q_).ok());
 }
 
 TEST_F(ServingTest, PreparedCancelIsStatementScoped) {
@@ -518,7 +532,7 @@ TEST_F(ServingTest, OptionsTokenCancelsMidQueryFromAnotherThread) {
 }
 
 TEST_F(ServingTest, CancelledQueriesDoNotPoisonCaches) {
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   CacheStats warm = db_.cache_stats();
   CancellationToken token;
   token.Cancel("cancelled before it started");
@@ -544,7 +558,7 @@ TEST_F(ServingTest, CancellationTortureNeverYieldsPartialResults) {
   // Racing cancellers against live queries (the TSan CI target): every
   // outcome must be either the complete, correct result or a clean
   // typed kCancelled — never a partial OK and never a data race.
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   std::atomic<int> failures{0};
   std::vector<std::thread> workers;
   workers.reserve(4);
@@ -1047,7 +1061,7 @@ TEST_F(NetDrainTest, DisconnectTortureLeavesServerConsistent) {
   // server still serves a correct answer afterwards.
   EXPECT_TRUE(WaitFor([&] { return server_->stats().inflight == 0; },
                       30'000'000));
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   const int fd = SendRawQuery(*server_, q_);
   ASSERT_GE(fd, 0);
   auto reply = net::ReadFrame(fd, net::SteadyNowMicros() + 10'000'000);
@@ -1078,11 +1092,48 @@ TEST_F(ServingTest, FaultTrieBuildFailsQueryWithoutPoisoningCache) {
   // Nothing broken was cached: disarmed, the same query succeeds.
   FaultInjector::Global().Disarm();
   EXPECT_TRUE(db_.OpenSession().Query(q_).ok());
+
+  // The path-trie caller of the same cache-or-build step: a
+  // materialize_paths query over a document alone, so every trie it
+  // builds is a path trie. Its reference rows come from the lazy path
+  // tries, which never touch the trie cache.
+  ASSERT_TRUE(db_.RegisterDocumentXml("doc", R"(
+      <items><item><B>1</B><D>5</D></item>
+             <item><B>2</B><D>6</D></item></items>)")
+                  .ok());
+  const std::string doc_q = "Q(*) := doc : item[B]/D";
+  const auto expected = db_.OpenSession().Query(doc_q)->ToTuples();
+  ASSERT_FALSE(expected.empty());
+  QueryOptions materialized;
+  materialized.xjoin.materialize_paths = true;
+  const size_t entries = db_.cache_stats().trie_entries;
+  FaultInjector::Global().FailAt("trie.build", 1);
+  auto failed = db_.OpenSession().Query(doc_q, materialized);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal)
+      << failed.status().ToString();
+  EXPECT_EQ(db_.cache_stats().trie_entries, entries);
+  FaultInjector::Global().Disarm();
+  auto recovered = db_.OpenSession().Query(doc_q, materialized);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->ToTuples(), expected);
+
+  // Cancelled before prepare: kCancelled, and no path trie is built.
+  db_.ClearPlanCache();
+  db_.ClearTrieCache();
+  CancellationToken token;
+  token.Cancel("cancelled before prepare");
+  materialized.cancel = &token;
+  auto cancelled = db_.OpenSession().Query(doc_q, materialized);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+      << cancelled.status().ToString();
+  EXPECT_EQ(db_.cache_stats().trie_entries, 0u);
 }
 
 TEST_F(ServingTest, FaultCompactionFailureLeavesOldVersionIntact) {
   ScopedFaultInjection scoped;
-  const auto before = db_.Query(q_)->ToTuples();
+  const auto before = db_.OpenSession().Query(q_)->ToTuples();
   const uint64_t version = *db_.relation_version("R");
   FaultInjector::Global().FailAt("trie.compact", 1);
   RelationDelta delta;
@@ -1094,7 +1145,7 @@ TEST_F(ServingTest, FaultCompactionFailureLeavesOldVersionIntact) {
   // The failed update never published: same version, same answers.
   FaultInjector::Global().Disarm();
   EXPECT_EQ(*db_.relation_version("R"), version);
-  EXPECT_EQ(db_.Query(q_)->ToTuples(), before);
+  EXPECT_EQ(db_.OpenSession().Query(q_)->ToTuples(), before);
   // And the stream recovers once the fault clears.
   ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
   EXPECT_EQ(*db_.relation_version("R"), version + 1);
@@ -1121,7 +1172,7 @@ TEST_F(ServingTest, FaultMorselHandoffFailsQueryWithTypedInternal) {
   // result: the barrier notices the missing shard and the whole query
   // fails kInternal.
   ScopedFaultInjection scoped;
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   QueryOptions options;
   options.xjoin.num_threads = 4;  // the site lives in the sharded driver
   FaultInjector::Global().FailAt("gj.morsel", 1);
@@ -1138,7 +1189,7 @@ TEST_F(ServingTest, FaultMorselHandoffFailsQueryWithTypedInternal) {
 
 TEST_F(ServingTest, FaultResultMergeFailureIsTypedAndRecoverable) {
   ScopedFaultInjection scoped;
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   QueryOptions options;
   options.xjoin.num_threads = 4;
   FaultInjector::Global().FailAt("gj.result_merge", 1);
@@ -1180,7 +1231,7 @@ TEST_F(ServingTest, FaultSeededChaosAlwaysReturnsTypedStatuses) {
   // correct result or a clean typed error — never a crash, a partial
   // result, or a poisoned cache.
   ScopedFaultInjection scoped;
-  const auto expected = db_.Query(q_)->ToTuples();
+  const auto expected = db_.OpenSession().Query(q_)->ToTuples();
   // Hardened parse: a garbled XJOIN_FAULT_SEED warns and falls back
   // deterministically instead of silently wrapping.
   const uint64_t seed = EnvUint64OrDefault("XJOIN_FAULT_SEED", 42);

@@ -1,6 +1,6 @@
 // Database-level trie cache: hits on re-planned queries, keying by
 // (relation, attribute order, relation version), invalidation on
-// UpdateRelation and via the explicit hook, and byte-identical results
+// UpdateRelation, the ClearTrieCache flush, and byte-identical results
 // with the cache on or off. A repeated *identical* query is served by
 // the plan cache without consulting the trie cache at all (its tries
 // are pinned in the plan — see plan_test.cc), so the tests below clear
@@ -32,27 +32,38 @@ class TrieCacheTest : public ::testing::Test {
                     .ok());
   }
 
+  // One query through a fresh session, with `xjoin` as its knobs.
+  Result<Relation> Run(const std::string& text, XJoinOptions xjoin = {}) {
+    QueryOptions options;
+    options.xjoin = std::move(xjoin);
+    return db_.OpenSession().Query(text, options);
+  }
+
   MultiModelDatabase db_;
 };
 
 TEST_F(TrieCacheTest, RepeatedQueriesHitTheCache) {
   Metrics first_metrics;
-  auto first = db_.Query("Q(*) := R, S", Engine::kXJoin, &first_metrics);
+  XJoinOptions first_options;
+  first_options.metrics = &first_metrics;
+  auto first = Run("Q(*) := R, S", first_options);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(db_.trie_cache_misses(), 2);  // one trie per relation
-  EXPECT_EQ(db_.trie_cache_hits(), 0);
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  EXPECT_EQ(db_.cache_stats().trie_misses, 2);  // one trie per relation
+  EXPECT_EQ(db_.cache_stats().trie_hits, 0);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
   EXPECT_EQ(first_metrics.Get("db.trie_cache.misses"), 2);
 
   // Re-plan the same text: the fresh plan pins its tries through the
   // cache and hits both entries.
   db_.ClearPlanCache();
   Metrics second_metrics;
-  auto second = db_.Query("Q(*) := R, S", Engine::kXJoin, &second_metrics);
+  XJoinOptions second_options;
+  second_options.metrics = &second_metrics;
+  auto second = Run("Q(*) := R, S", second_options);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(db_.trie_cache_misses(), 2);
-  EXPECT_EQ(db_.trie_cache_hits(), 2);
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  EXPECT_EQ(db_.cache_stats().trie_misses, 2);
+  EXPECT_EQ(db_.cache_stats().trie_hits, 2);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
   EXPECT_EQ(second_metrics.Get("db.trie_cache.hits"), 2);
   EXPECT_EQ(second_metrics.Get("db.trie_cache.misses"), 0);
 
@@ -63,8 +74,8 @@ TEST_F(TrieCacheTest, RepeatedQueriesHitTheCache) {
 TEST_F(TrieCacheTest, DistinctAttributeOrdersGetDistinctEntries) {
   XJoinOptions forward;
   forward.attribute_order = {"A", "B", "C"};
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", forward).ok());
-  size_t after_first = db_.TrieCacheSize();
+  ASSERT_TRUE(Run("Q(*) := R, S", forward).ok());
+  size_t after_first = db_.cache_stats().trie_entries;
   EXPECT_EQ(after_first, 2u);
 
   // A different global order induces a different trie order for R
@@ -72,14 +83,14 @@ TEST_F(TrieCacheTest, DistinctAttributeOrdersGetDistinctEntries) {
   // S's induced order (B,C) is unchanged and hits.
   XJoinOptions reversed;
   reversed.attribute_order = {"B", "A", "C"};
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", reversed).ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 3u);
-  EXPECT_EQ(db_.trie_cache_hits(), 1);
+  ASSERT_TRUE(Run("Q(*) := R, S", reversed).ok());
+  EXPECT_EQ(db_.cache_stats().trie_entries, 3u);
+  EXPECT_EQ(db_.cache_stats().trie_hits, 1);
 }
 
 TEST_F(TrieCacheTest, UpdateRelationInvalidatesAndRebuilds) {
-  ASSERT_TRUE(db_.Query("Q(*) := R, S").ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  ASSERT_TRUE(Run("Q(*) := R, S").ok());
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
   EXPECT_EQ(*db_.relation_version("R"), 0u);
 
   // Replace R: its cached trie must go; S's must stay.
@@ -89,15 +100,15 @@ TEST_F(TrieCacheTest, UpdateRelationInvalidatesAndRebuilds) {
   replacement.AppendRow(extra);
   ASSERT_TRUE(db_.UpdateRelation("R", std::move(replacement)).ok());
   EXPECT_EQ(*db_.relation_version("R"), 1u);
-  EXPECT_EQ(db_.TrieCacheSize(), 1u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 1u);
 
   // The next query sees the new contents (no stale trie).
-  auto result = db_.Query("Q(A, B, C) := R, S");
+  auto result = Run("Q(A, B, C) := R, S");
   ASSERT_TRUE(result.ok());
   const Dictionary& dict = db_.dictionary();
   EXPECT_TRUE(result->ContainsRow(
       {dict.Lookup("2"), dict.Lookup("y"), dict.Lookup("8")}));
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
 
   // Updating a relation that does not exist fails.
   auto s = Schema::Make({"Z"});
@@ -105,9 +116,9 @@ TEST_F(TrieCacheTest, UpdateRelationInvalidatesAndRebuilds) {
 }
 
 TEST_F(TrieCacheTest, ApplyRelationDeltaPatchesInsteadOfInvalidating) {
-  ASSERT_TRUE(db_.Query("Q(*) := R, S").ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
-  const int64_t misses_before = db_.trie_cache_misses();
+  ASSERT_TRUE(Run("Q(*) := R, S").ok());
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
+  const int64_t misses_before = db_.cache_stats().trie_misses;
 
   // A delta to R re-keys its cached trie at the new version by
   // patching it in place — no entry is dropped, nothing is rebuilt.
@@ -116,49 +127,44 @@ TEST_F(TrieCacheTest, ApplyRelationDeltaPatchesInsteadOfInvalidating) {
                     db_.mutable_dictionary()->Intern("y")}};
   ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
   EXPECT_EQ(*db_.relation_version("R"), 1u);
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
   CacheStats stats = db_.cache_stats();
   EXPECT_EQ(stats.trie_patches, 1);
 
   // The next query is served by the patched trie: new contents, and no
   // trie-cache miss (i.e. no from-scratch build).
-  auto result = db_.Query("Q(A, B, C) := R, S");
+  auto result = Run("Q(A, B, C) := R, S");
   ASSERT_TRUE(result.ok());
   const Dictionary& dict = db_.dictionary();
   EXPECT_TRUE(result->ContainsRow(
       {dict.Lookup("2"), dict.Lookup("y"), dict.Lookup("8")}));
-  EXPECT_EQ(db_.trie_cache_misses(), misses_before);
+  EXPECT_EQ(db_.cache_stats().trie_misses, misses_before);
 
   // Deleting the same row again via the delta path restores the
   // original contents (second patch on the already-patched trie).
   RelationDelta undo;
   undo.deletes = delta.inserts;
   ASSERT_TRUE(db_.ApplyRelationDelta("R", undo).ok());
-  auto restored = db_.Query("Q(A, B, C) := R, S");
+  auto restored = Run("Q(A, B, C) := R, S");
   ASSERT_TRUE(restored.ok());
   EXPECT_FALSE(restored->ContainsRow(
       {dict.Lookup("2"), dict.Lookup("y"), dict.Lookup("8")}));
   EXPECT_EQ(db_.cache_stats().trie_patches, 2);
-  EXPECT_EQ(db_.trie_cache_misses(), misses_before);
+  EXPECT_EQ(db_.cache_stats().trie_misses, misses_before);
 }
 
-TEST_F(TrieCacheTest, ExplicitInvalidationHooks) {
-  ASSERT_TRUE(db_.Query("Q(*) := R, S").ok());
-  ASSERT_EQ(db_.TrieCacheSize(), 2u);
-
-  db_.InvalidateTrieCache("R");
-  EXPECT_EQ(db_.TrieCacheSize(), 1u);
-  db_.InvalidateTrieCache("R");  // idempotent
-  EXPECT_EQ(db_.TrieCacheSize(), 1u);
+TEST_F(TrieCacheTest, ClearTrieCacheDropsEveryEntry) {
+  ASSERT_TRUE(Run("Q(*) := R, S").ok());
+  ASSERT_EQ(db_.cache_stats().trie_entries, 2u);
 
   db_.ClearTrieCache();
-  EXPECT_EQ(db_.TrieCacheSize(), 0u);
+  EXPECT_EQ(db_.cache_stats().trie_entries, 0u);
 
   // Re-planned queries after a flush rebuild and re-populate. (Without
   // the plan flush the cached plan would just replay its pinned tries.)
   db_.ClearPlanCache();
-  ASSERT_TRUE(db_.Query("Q(*) := R, S").ok());
-  EXPECT_EQ(db_.TrieCacheSize(), 2u);
+  ASSERT_TRUE(Run("Q(*) := R, S").ok());
+  EXPECT_EQ(db_.cache_stats().trie_entries, 2u);
 }
 
 TEST_F(TrieCacheTest, CachedRunsMatchProviderFreeRuns) {
@@ -169,9 +175,9 @@ TEST_F(TrieCacheTest, CachedRunsMatchProviderFreeRuns) {
              <item><B>y</B><D>6</D></item></items>)")
                   .ok());
   const std::string q = "Q(*) := R, S, doc : item[B]/D";
-  auto cached_cold = db_.Query(q);
+  auto cached_cold = Run(q);
   ASSERT_TRUE(cached_cold.ok()) << cached_cold.status().ToString();
-  auto cached_warm = db_.Query(q);
+  auto cached_warm = Run(q);
   ASSERT_TRUE(cached_warm.ok());
 
   XJoinOptions no_cache;
@@ -180,7 +186,7 @@ TEST_F(TrieCacheTest, CachedRunsMatchProviderFreeRuns) {
       -> Result<std::shared_ptr<const RelationTrie>> {
     return std::shared_ptr<const RelationTrie>();  // always build locally
   };
-  auto uncached = db_.QueryXJoin(q, no_cache);
+  auto uncached = Run(q, no_cache);
   ASSERT_TRUE(uncached.ok());
 
   EXPECT_EQ(cached_cold->ToTuples(), cached_warm->ToTuples());
@@ -190,13 +196,13 @@ TEST_F(TrieCacheTest, CachedRunsMatchProviderFreeRuns) {
 TEST_F(TrieCacheTest, ShardedQueriesShareTheCache) {
   XJoinOptions sharded;
   sharded.num_threads = 4;
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", sharded).ok());
-  int64_t misses = db_.trie_cache_misses();
+  ASSERT_TRUE(Run("Q(*) := R, S", sharded).ok());
+  int64_t misses = db_.cache_stats().trie_misses;
   EXPECT_EQ(misses, 2);
   db_.ClearPlanCache();
-  ASSERT_TRUE(db_.QueryXJoin("Q(*) := R, S", sharded).ok());
-  EXPECT_EQ(db_.trie_cache_misses(), misses);
-  EXPECT_GE(db_.trie_cache_hits(), 2);
+  ASSERT_TRUE(Run("Q(*) := R, S", sharded).ok());
+  EXPECT_EQ(db_.cache_stats().trie_misses, misses);
+  EXPECT_GE(db_.cache_stats().trie_hits, 2);
 }
 
 }  // namespace

@@ -233,10 +233,10 @@ class DbUpdateStreamTest : public ::testing::TestWithParam<DbStreamCase> {
     options.xjoin.attribute_order = {"A", "B", "C"};
     Metrics delta_metrics;
     options.xjoin.metrics = &delta_metrics;
-    auto a = delta_db_.Query(text, options);
+    auto a = delta_db_.OpenSession().Query(text, options);
     Metrics rebuild_metrics;
     options.xjoin.metrics = &rebuild_metrics;
-    auto b = rebuild_db_.Query(text, options);
+    auto b = rebuild_db_.OpenSession().Query(text, options);
     ASSERT_TRUE(a.ok()) << golden << ": " << a.status().ToString();
     ASSERT_TRUE(b.ok()) << golden << ": " << b.status().ToString();
     ASSERT_EQ(a->ToTuples(), b->ToTuples()) << golden;

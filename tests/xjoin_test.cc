@@ -9,9 +9,11 @@
 #include "common/random.h"
 #include "core/baseline.h"
 #include "core/bound.h"
+#include "core/database.h"
 #include "core/validate.h"
 #include "core/xjoin.h"
 #include "relational/operators.h"
+#include "tests/golden.h"
 #include "tests/test_util.h"
 #include "twigjoin/naive_twig.h"
 #include "workload/adversarial.h"
@@ -56,6 +58,31 @@ void ExpectSameAnswer(const MultiModelQuery& query, const XJoinOptions& opts) {
       << "XJoin diverged from reference\nXJoin:\n"
       << fast_proj->ToString() << "\nreference:\n"
       << expected.ToString();
+}
+
+// The rejecting-path golden records (plan_test) hold the brute-force
+// reference's answer: same digest (rows in plan column order,
+// ascending) and row count, with and without structural pruning.
+TEST(XJoinTest, RejectingPathGoldenRecordsMatchReference) {
+  MultiModelDatabase db;
+  ASSERT_TRUE(testing::RegisterRejectingFixture(&db).ok());
+  auto prepared = db.OpenSession().Prepare(testing::kRejectingQuery);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto reference = Project(ReferenceAnswer(prepared->query()),
+                           prepared->plan->order);
+  ASSERT_TRUE(reference.ok());
+  reference->SortAndDedup();
+  ASSERT_GT(reference->num_rows(), 0u);
+  for (const char* name : {"plan/reject/t1", "plan/reject/t4",
+                           "plan/reject_pruning/t1",
+                           "plan/reject_pruning/t4"}) {
+    auto it = testing::GoldenFixtures().find(name);
+    ASSERT_NE(it, testing::GoldenFixtures().end()) << name;
+    EXPECT_EQ(it->second.at("digest"), testing::ResultDigest(*reference))
+        << name;
+    EXPECT_EQ(it->second.at("rows"), std::to_string(reference->num_rows()))
+        << name;
+  }
 }
 
 TEST(XJoinTest, Figure1BookstoreExample) {
