@@ -17,17 +17,6 @@
 //
 //   bench_concurrent --readers=4 --writers=2 --cancel-rate=30 --tenants=2
 //                    --json=BENCH_robustness.json
-//
-// Network mode: --net serves the same database through the framed-
-// socket front-end on a loopback port and drives it with M concurrent
-// retrying clients per configuration, measuring end-to-end request
-// latency percentiles plus shed/retry counts. Every response is
-// verified against the serially precomputed rows; shed requests must
-// be absorbed by client retries (a request that exhausts its retry
-// budget fails the bench):
-//
-//   bench_concurrent --net --clients=1,2,4,8 --iters=40
-//                    --json=BENCH_net.json
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -40,8 +29,6 @@
 
 #include "bench/bench_util.h"
 #include "core/database.h"
-#include "net/client.h"
-#include "net/server.h"
 #include "relational/csv.h"
 
 namespace xjoin::bench {
@@ -266,176 +253,7 @@ Record RunConfig(int readers, int writers, int shards, int iters, int rows,
   return record;
 }
 
-struct NetRecord {
-  int clients = 0;
-  int max_inflight = 0;
-  int64_t queries = 0;
-  int64_t retries = 0;
-  int64_t shed = 0;
-  int64_t reconnects = 0;
-  double seconds = 0.0;
-  double qps = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-};
-
-// One --net configuration: a live loopback server with a deliberately
-// small in-flight ceiling, hammered by `clients` retrying clients.
-// Latency is end-to-end per request, retries included.
-NetRecord RunNetConfig(int clients, int iters, int rows,
-                       const std::string& query) {
-  MultiModelDatabase db;
-  XJ_CHECK(db.RegisterRelationCsv("R", MakeCsv("A", "B", rows, 30, 0)).ok());
-  XJ_CHECK(db.RegisterRelationCsv("S", MakeCsv("B", "C", rows, 30, 0)).ok());
-
-  const auto expected = [&] {
-    auto result = db.OpenSession().Query(query);
-    XJ_CHECK(result.ok()) << result.status().ToString();
-    const Relation& rel = *result;
-    const Dictionary& dict = db.dictionary();
-    std::vector<std::vector<std::string>> rows_out;
-    for (size_t r = 0; r < rel.num_rows(); ++r) {
-      std::vector<std::string> row;
-      for (size_t c = 0; c < rel.num_columns(); ++c) {
-        const int64_t code = rel.at(r, c);
-        row.push_back(dict.Contains(code) ? dict.Decode(code)
-                                          : "#" + std::to_string(code));
-      }
-      rows_out.push_back(std::move(row));
-    }
-    return rows_out;
-  }();
-
-  net::ServerOptions sopt;
-  sopt.num_workers = 2;
-  // Half the client count (min 1): the higher configurations overload
-  // the ceiling on purpose so shedding and retry-hint behavior shows up
-  // in the numbers instead of only in tests.
-  sopt.max_inflight = std::max(1, clients / 2);
-  net::XJoinServer server(&db, sopt);
-  XJ_CHECK(server.Start().ok());
-
-  std::atomic<int64_t> mismatches{0};
-  std::atomic<int64_t> retries{0};
-  std::atomic<int64_t> reconnects{0};
-  std::vector<std::vector<double>> latencies(clients);
-  for (auto& v : latencies) v.reserve(iters);
-
-  Timer wall;
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      net::ClientOptions copt;
-      copt.port = server.port();
-      copt.max_attempts = 12;
-      copt.backoff_base_micros = 200;
-      copt.backoff_cap_micros = 10'000;
-      copt.jitter_seed = static_cast<uint64_t>(c + 1);
-      net::XJoinClient client(copt);
-      net::QueryRequest request;
-      request.text = query;
-      for (int i = 0; i < iters; ++i) {
-        Timer timer;
-        auto result = client.Query(request);
-        const double seconds = timer.ElapsedSeconds();
-        if (!result.ok() || result->rows != expected) {
-          mismatches.fetch_add(1);
-          return;
-        }
-        latencies[c].push_back(seconds);
-      }
-      retries.fetch_add(client.stats().retries, std::memory_order_relaxed);
-      reconnects.fetch_add(client.stats().reconnects,
-                           std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double seconds = wall.ElapsedSeconds();
-
-  XJ_CHECK(mismatches.load() == 0)
-      << "clients=" << clients << ": " << mismatches.load()
-      << " request(s) failed or returned wrong rows over the wire";
-
-  const net::ServerStats stats = server.stats();
-  server.Shutdown();
-
-  std::vector<double> all;
-  for (const auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-
-  NetRecord record;
-  record.clients = clients;
-  record.max_inflight = sopt.max_inflight;
-  record.queries = static_cast<int64_t>(all.size());
-  record.retries = retries.load();
-  record.shed = stats.shed_inflight + stats.shed_draining +
-                stats.rejected_conn_limit;
-  record.reconnects = reconnects.load();
-  record.seconds = seconds;
-  record.qps = seconds > 0 ? static_cast<double>(all.size()) / seconds : 0.0;
-  record.p50_ms = PercentileMs(all, 0.50);
-  record.p95_ms = PercentileMs(all, 0.95);
-  record.p99_ms = PercentileMs(all, 0.99);
-  return record;
-}
-
-void RunNet(int argc, char** argv) {
-  const std::vector<int> clients =
-      IntListFlag(argc, argv, "clients", {1, 2, 4, 8});
-  const int iters = static_cast<int>(IntFlag(argc, argv, "iters", 40));
-  const int rows = static_cast<int>(IntFlag(argc, argv, "rows", 600));
-  const std::string query = "Q(A, B, C) := R, S";
-
-  Banner("Network front-end: retrying clients vs a shedding loopback "
-         "server");
-
-  std::vector<NetRecord> records;
-  for (int c : clients) records.push_back(RunNetConfig(c, iters, rows, query));
-
-  Table table({"clients", "inflight_cap", "queries", "retries", "shed",
-               "reconnects", "qps", "p50", "p95", "p99"});
-  for (const NetRecord& r : records) {
-    table.AddRow({FmtInt(r.clients), FmtInt(r.max_inflight),
-                  FmtInt(r.queries), FmtInt(r.retries), FmtInt(r.shed),
-                  FmtInt(r.reconnects), FmtF(r.qps, 0),
-                  FmtSeconds(r.p50_ms / 1e3), FmtSeconds(r.p95_ms / 1e3),
-                  FmtSeconds(r.p99_ms / 1e3)});
-  }
-  table.Print();
-  std::printf("\nAll %zu configurations returned byte-identical rows over "
-              "the wire; every shed request was absorbed by client "
-              "retries.\n",
-              records.size());
-
-  JsonArrayWriter json;
-  for (const NetRecord& r : records) {
-    json.BeginObject()
-        .Field("clients", r.clients)
-        .Field("max_inflight", r.max_inflight)
-        .Field("queries", r.queries)
-        .Field("retries", r.retries)
-        .Field("shed", r.shed)
-        .Field("reconnects", r.reconnects)
-        .Field("seconds", r.seconds, 6)
-        .Field("qps", r.qps, 1)
-        .Field("p50_ms", r.p50_ms, 3)
-        .Field("p95_ms", r.p95_ms, 3)
-        .Field("p99_ms", r.p99_ms, 3);
-  }
-  json.Emit(FlagValue(argc, argv, "json"));
-}
-
 void Run(int argc, char** argv) {
-  // Bare "--net" (or "--net=1") switches to the loopback serving bench.
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--net" || arg.rfind("--net=", 0) == 0) {
-      RunNet(argc, argv);
-      return;
-    }
-  }
   const std::vector<int> readers = IntListFlag(argc, argv, "readers",
                                                {1, 2, 4});
   const std::vector<int> writers = IntListFlag(argc, argv, "writers", {0, 2});

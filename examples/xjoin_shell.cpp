@@ -14,13 +14,13 @@
 //   list                    registered relations and documents
 //   help | quit
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "common/string_util.h"
 #include "core/database.h"
+#include "xml/parser.h"
 
 namespace {
 
@@ -102,14 +102,9 @@ int RunShell() {
         st = rel.ok() ? db.RegisterRelation(name, *std::move(rel))
                       : rel.status();
       } else if (kind == "xml" && !name.empty() && !file.empty()) {
-        std::ifstream f(file);
-        if (!f) {
-          st = Status::IOError("cannot open " + file);
-        } else {
-          std::ostringstream buf;
-          buf << f.rdbuf();
-          st = db.RegisterDocumentXml(name, buf.str());
-        }
+        auto doc = ParseXmlFile(file);
+        st = doc.ok() ? db.RegisterDocument(name, *std::move(doc))
+                      : doc.status();
       }
       std::printf("%s\n", st.ok() ? "ok" : st.ToString().c_str());
     } else if (command == "list") {

@@ -29,9 +29,8 @@ class Dictionary {
   Dictionary() = default;
   Dictionary(const Dictionary&) = delete;
   Dictionary& operator=(const Dictionary&) = delete;
-  /// Movable (the lock lives behind a pointer) so Result<Dictionary>
-  /// and the storage layer keep working; a moved-from dictionary must
-  /// not be used.
+  /// Movable (the lock lives behind a pointer) so an XmlDocument can
+  /// carry its tag dictionary; a moved-from dictionary must not be used.
   Dictionary(Dictionary&&) = default;
   Dictionary& operator=(Dictionary&&) = default;
 

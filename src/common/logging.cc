@@ -1,11 +1,8 @@
 #include "common/logging.h"
 
-#include <atomic>
-
 namespace xjoin {
 
 namespace {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarning)};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -24,16 +21,10 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_log_level.load()); }
-
-void SetLogLevel(LogLevel level) { g_log_level.store(static_cast<int>(level)); }
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level),
-      enabled_(static_cast<int>(level) >= g_log_level.load() ||
-               level == LogLevel::kFatal) {
+    : level_(level), enabled_(level >= kMinLogLevel) {
   if (enabled_) {
     const char* base = file;
     for (const char* p = file; *p; ++p) {

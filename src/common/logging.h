@@ -18,9 +18,8 @@ enum class LogLevel : int {
   kFatal = 4
 };
 
-/// Process-wide minimum severity that is actually emitted.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
+/// Minimum severity that is actually emitted.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kWarning;
 
 namespace internal {
 

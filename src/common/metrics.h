@@ -50,9 +50,6 @@ class Metrics {
 
   void Clear() { counters_.clear(); }
 
-  /// One "name=value" pair per line.
-  std::string ToString() const;
-
  private:
   int64_t& Slot(std::string_view name) {
     auto it = counters_.lower_bound(name);

@@ -45,13 +45,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   }
 }
 
-int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  XJ_DCHECK(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<int64_t>(Next64());  // full 64-bit range
-  return lo + static_cast<int64_t>(NextBounded(span));
-}
-
 double Rng::NextDouble() {
   return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
 }

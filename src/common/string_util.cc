@@ -42,33 +42,6 @@ std::string JoinStrings(const std::vector<std::string>& parts,
   return out;
 }
 
-Result<int64_t> ParseInt64(std::string_view s) {
-  s = TrimWhitespace(s);
-  if (s.empty()) return Status::ParseError("empty integer literal");
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno == ERANGE) return Status::ParseError("integer overflow: " + buf);
-  if (end != buf.c_str() + buf.size()) {
-    return Status::ParseError("invalid integer literal: " + buf);
-  }
-  return static_cast<int64_t>(v);
-}
-
-Result<double> ParseDouble(std::string_view s) {
-  s = TrimWhitespace(s);
-  if (s.empty()) return Status::ParseError("empty float literal");
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) {
-    return Status::ParseError("invalid float literal: " + buf);
-  }
-  return v;
-}
-
 Result<uint64_t> ParseUint64(std::string_view s) {
   s = TrimWhitespace(s);
   if (s.empty()) return Status::ParseError("empty integer literal");
@@ -103,11 +76,6 @@ uint64_t EnvUint64OrDefault(const char* name, uint64_t fallback) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::string FormatDouble(double v) {

@@ -21,12 +21,6 @@ std::string_view TrimWhitespace(std::string_view s);
 std::string JoinStrings(const std::vector<std::string>& parts,
                         std::string_view sep);
 
-/// Parses a base-10 signed integer; rejects trailing garbage and overflow.
-Result<int64_t> ParseInt64(std::string_view s);
-
-/// Parses a floating point number; rejects trailing garbage.
-Result<double> ParseDouble(std::string_view s);
-
 /// Parses a base-10 unsigned integer; rejects signs, trailing garbage,
 /// and overflow.
 Result<uint64_t> ParseUint64(std::string_view s);
@@ -40,9 +34,6 @@ uint64_t EnvUint64OrDefault(const char* name, uint64_t fallback);
 
 /// True if `s` begins with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
-
-/// True if `s` ends with `suffix`.
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Renders a double compactly ("3.5", not "3.500000").
 std::string FormatDouble(double v);

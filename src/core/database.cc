@@ -464,7 +464,7 @@ Result<Relation> Session::Query(const std::string& text,
 Result<PreparedQuery> Session::Prepare(const std::string& text,
                                        const QueryOptions& options) const {
   XJ_ASSIGN_OR_RETURN(std::shared_ptr<const XJoinPlan> plan,
-                      db_->ResolvePlan(text, PlanOptions(options), snap_));
+                      db_->ResolvePlan(text, options, snap_, cancel_.get()));
   return PreparedQuery{std::move(plan)};
 }
 
@@ -480,7 +480,7 @@ Result<Relation> Session::Execute(const PreparedQuery& prepared,
 Result<std::string> Session::Explain(const std::string& text,
                                      const QueryOptions& options) const {
   XJ_ASSIGN_OR_RETURN(std::shared_ptr<const XJoinPlan> plan,
-                      db_->ResolvePlan(text, PlanOptions(options), snap_));
+                      db_->ResolvePlan(text, options, snap_, cancel_.get()));
   std::string out = "query: " + CanonicalizeQueryText(text) + "\n";
   out += ExplainPlan(*plan);
   CacheStats stats = db_->cache_stats();
@@ -502,20 +502,8 @@ Result<std::string> Session::Explain(const std::string& text,
   return out;
 }
 
-std::vector<std::string> Session::RelationNames() const {
-  return KeysOf(snap_->relations);
-}
-
-std::vector<std::string> Session::DocumentNames() const {
-  return KeysOf(snap_->documents);
-}
-
 Result<uint64_t> Session::relation_version(const std::string& name) const {
   return VersionIn(snap_->relations, name, "relation");
-}
-
-Result<uint64_t> Session::document_version(const std::string& name) const {
-  return VersionIn(snap_->documents, name, "document");
 }
 
 // ---------------------------------------------------------------------------
@@ -945,8 +933,17 @@ std::shared_ptr<const XJoinPlan> MultiModelDatabase::PublishPlan(
 
 Result<std::shared_ptr<const XJoinPlan>>
 MultiModelDatabase::ResolvePlan(
-    const std::string& text, const XJoinOptions& options,
-    const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const {
+    const std::string& text, const QueryOptions& query_options,
+    const std::shared_ptr<const internal::DatabaseSnapshot>& snap,
+    const CancellationToken* session_cancel) const {
+  XJoinOptions options = PlanOptions(query_options);
+  // Prepare-time cancellation: the cold path builds tries, which a
+  // cancelled caller should never pay for. (Execution attaches every
+  // scope to the budget tracker; prepare polls one token directly.)
+  if (options.cancel == nullptr) {
+    options.cancel = query_options.cancel != nullptr ? query_options.cancel
+                                                     : session_cancel;
+  }
   std::string key = PlanCacheKey(text, options);
 
   // Cache lookup, validated against the *snapshot's* versions. A
@@ -1184,15 +1181,8 @@ Result<Relation> MultiModelDatabase::RunQuery(
     shell.query = std::move(query);
     return RunPlan(shell, options, session_cancel, nullptr);
   }
-  XJoinOptions xopts = PlanOptions(options);
-  // Prepare-time cancellation: the cold path builds tries, which a
-  // cancelled caller should never pay for. (Execution attaches every
-  // scope to the budget tracker; prepare polls one token directly.)
-  if (xopts.cancel == nullptr) {
-    xopts.cancel = options.cancel != nullptr ? options.cancel : session_cancel;
-  }
   Result<std::shared_ptr<const XJoinPlan>> plan =
-      ResolvePlan(text, xopts, snap);
+      ResolvePlan(text, options, snap, session_cancel);
   if (!plan.ok()) {
     // A query cancelled while its plan was still being prepared never
     // reached admission, but it still finished kCancelled — count it so

@@ -204,11 +204,8 @@ class Session {
     cancel_->Cancel(std::move(reason));
   }
 
-  /// Snapshot introspection: names and versions as of OpenSession.
-  std::vector<std::string> RelationNames() const;
-  std::vector<std::string> DocumentNames() const;
+  /// A relation's version as of OpenSession.
   Result<uint64_t> relation_version(const std::string& name) const;
-  Result<uint64_t> document_version(const std::string& name) const;
 
  private:
   friend class MultiModelDatabase;
@@ -432,10 +429,12 @@ class MultiModelDatabase {
   /// private prepare otherwise, publish only when the snapshot is still
   /// current (an old session builds privately rather than poisoning the
   /// cache for new sessions, and never drops an entry that is valid for
-  /// the current registry).
+  /// the current registry). A cold prepare polls options.cancel, else
+  /// `session_cancel` (nullable), between trie builds.
   Result<std::shared_ptr<const XJoinPlan>> ResolvePlan(
-      const std::string& text, const XJoinOptions& options,
-      const std::shared_ptr<const internal::DatabaseSnapshot>& snap) const;
+      const std::string& text, const QueryOptions& options,
+      const std::shared_ptr<const internal::DatabaseSnapshot>& snap,
+      const CancellationToken* session_cancel) const;
 
   /// `options` with the database's trie caches wired in as providers
   /// (unless the caller brought its own), over snapshot `snap`.

@@ -74,9 +74,6 @@ Result<Relation> ReadCsv(std::string_view text, const CsvOptions& options,
     for (size_t c = 0; c < arity; ++c)
       names.push_back("col" + std::to_string(c));
   }
-  if (!options.types.empty() && options.types.size() != arity) {
-    return Status::InvalidArgument("CSV type list arity mismatch");
-  }
   XJ_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(names)));
   Relation rel(std::move(schema));
 
@@ -90,15 +87,7 @@ Result<Relation> ReadCsv(std::string_view text, const CsvOptions& options,
           std::to_string(arity) + " fields, got " +
           std::to_string(fields.size()));
     }
-    for (size_t c = 0; c < arity; ++c) {
-      ValueType t =
-          options.types.empty() ? ValueType::kString : options.types[c];
-      auto value = ParseValue(t, fields[c]);
-      if (!value.ok()) {
-        return value.status().WithContext("line " + std::to_string(ln + 1));
-      }
-      row[c] = value->Encode(dict);
-    }
+    for (size_t c = 0; c < arity; ++c) row[c] = dict->Intern(fields[c]);
     rel.AppendRow(row);
   }
   return rel;

@@ -6,12 +6,10 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/dictionary.h"
 #include "common/status.h"
 #include "relational/relation.h"
-#include "relational/value.h"
 
 namespace xjoin {
 
@@ -21,13 +19,11 @@ struct CsvOptions {
   /// If true the first line provides attribute names; otherwise names are
   /// col0, col1, ...
   bool has_header = true;
-  /// Per-column types; if empty every column is kString. Values are parsed
-  /// and re-canonicalized through Value so "007" (int64) and "7" encode
-  /// identically.
-  std::vector<ValueType> types;
 };
 
-/// Parses `text` into a relation, interning every cell into `dict`.
+/// Parses `text` into a relation, interning every cell's bytes verbatim
+/// into `dict` (no trimming or numeric canonicalization: "007" and "7"
+/// get distinct codes).
 Result<Relation> ReadCsv(std::string_view text, const CsvOptions& options,
                          Dictionary* dict);
 

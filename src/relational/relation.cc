@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -101,13 +100,6 @@ Tuple Relation::GetRow(size_t row) const {
   return t;
 }
 
-Result<const std::vector<int64_t>*> Relation::ColumnByName(
-    const std::string& name) const {
-  int idx = schema_.IndexOf(name);
-  if (idx < 0) return Status::NotFound("no attribute " + name);
-  return &columns_[static_cast<size_t>(idx)];
-}
-
 void Relation::KeepRows(const std::vector<uint8_t>& keep) {
   XJ_DCHECK(keep.size() == num_rows());
   for (auto& col : columns_) {
@@ -196,21 +188,6 @@ bool Relation::ContainsRow(const Tuple& row) const {
     if (same) return true;
   }
   return false;
-}
-
-std::string Relation::ToString(size_t max_rows) const {
-  std::ostringstream out;
-  out << schema_.ToString("rel") << " [" << num_rows() << " rows]\n";
-  for (size_t r = 0; r < std::min(max_rows, num_rows()); ++r) {
-    out << "  (";
-    for (size_t c = 0; c < num_columns(); ++c) {
-      if (c) out << ", ";
-      out << columns_[c][r];
-    }
-    out << ")\n";
-  }
-  if (num_rows() > max_rows) out << "  ...\n";
-  return out.str();
 }
 
 }  // namespace xjoin

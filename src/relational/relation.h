@@ -64,10 +64,6 @@ class Relation {
   /// Whole column (by position).
   const std::vector<int64_t>& column(size_t col) const { return columns_[col]; }
 
-  /// Column by attribute name; fails if the attribute is absent.
-  Result<const std::vector<int64_t>*> ColumnByName(
-      const std::string& name) const;
-
   /// Keeps exactly the rows r with keep[r] != 0, in order, compacting
   /// every column in place. Precondition: keep.size() == num_rows().
   void KeepRows(const std::vector<uint8_t>& keep);
@@ -89,9 +85,6 @@ class Relation {
   /// True if `row` (schema order) occurs in this relation. O(n) scan;
   /// intended for tests.
   bool ContainsRow(const Tuple& row) const;
-
-  /// Multi-line debug rendering (at most `max_rows` rows).
-  std::string ToString(size_t max_rows = 20) const;
 
  private:
   Schema schema_;

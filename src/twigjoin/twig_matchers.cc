@@ -41,31 +41,6 @@ Result<Relation> MatchesToRelation(const Twig& twig,
   return rel;
 }
 
-Result<std::vector<TwigMatch>> RelationToMatches(const Twig& twig,
-                                                 const Relation& relation) {
-  std::vector<size_t> col_of_node(twig.num_nodes());
-  for (size_t i = 0; i < twig.num_nodes(); ++i) {
-    int c = relation.schema().IndexOf(
-        twig.node(static_cast<TwigNodeId>(i)).attribute);
-    if (c < 0) {
-      return Status::InvalidArgument(
-          "relation lacks twig attribute " +
-          twig.node(static_cast<TwigNodeId>(i)).attribute);
-    }
-    col_of_node[i] = static_cast<size_t>(c);
-  }
-  std::vector<TwigMatch> out;
-  out.reserve(relation.num_rows());
-  for (size_t r = 0; r < relation.num_rows(); ++r) {
-    TwigMatch m(twig.num_nodes());
-    for (size_t i = 0; i < twig.num_nodes(); ++i) {
-      m[i] = static_cast<NodeId>(relation.at(r, col_of_node[i]));
-    }
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
 Result<Relation> MatchTwigStructuralPlan(const XmlDocument& doc,
                                          const NodeIndex& index,
                                          const Twig& twig, Metrics* metrics) {

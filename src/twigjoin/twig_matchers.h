@@ -12,7 +12,7 @@
 // Both return the set of embeddings as a Relation whose schema is the
 // twig's attribute list (node-id bindings stored directly as int64),
 // which lets callers reuse the relational operators for merging and
-// comparison. Use MatchesToRelation/RelationToMatches to convert.
+// comparison. MatchesToRelation converts a match list to that form.
 #ifndef XJOIN_TWIGJOIN_TWIG_MATCHERS_H_
 #define XJOIN_TWIGJOIN_TWIG_MATCHERS_H_
 
@@ -31,11 +31,6 @@ namespace xjoin {
 /// Converts matches to a relation over the twig's attributes.
 Result<Relation> MatchesToRelation(const Twig& twig,
                                    const std::vector<TwigMatch>& matches);
-
-/// Converts a node-binding relation back to matches (columns must be the
-/// twig's attributes, possibly permuted).
-Result<std::vector<TwigMatch>> RelationToMatches(const Twig& twig,
-                                                 const Relation& relation);
 
 /// Binary structural-join plan. Metrics (nullable): records
 /// "twig_plan.max_intermediate" and "twig_plan.total_intermediate".

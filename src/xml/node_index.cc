@@ -57,38 +57,6 @@ const std::vector<ValueNode>& NodeIndex::ValueSortedNodes(int32_t tag) const {
   return by_tag_value_[static_cast<size_t>(tag)];
 }
 
-std::vector<ValueNode> NodeIndex::ChildValues(NodeId parent,
-                                              int32_t tag) const {
-  std::vector<ValueNode> out;
-  for (NodeId c = doc_->node(parent).first_child; c != kNullNode;
-       c = doc_->node(c).next_sibling) {
-    if (doc_->node(c).tag == tag) out.push_back(ValueNode{ValueOf(c), c});
-  }
-  std::sort(out.begin(), out.end(), [](const ValueNode& a, const ValueNode& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.node < b.node;
-  });
-  return out;
-}
-
-std::vector<ValueNode> NodeIndex::DescendantValues(NodeId ancestor,
-                                                   int32_t tag) const {
-  std::vector<ValueNode> out;
-  const std::vector<NodeId>& stream = NodesByTag(tag);
-  // Document-order stream is sorted by NodeId; descendants form the
-  // contiguous range (ancestor, subtree_end].
-  auto lo = std::upper_bound(stream.begin(), stream.end(), ancestor);
-  NodeId end = doc_->node(ancestor).subtree_end;
-  for (auto it = lo; it != stream.end() && *it <= end; ++it) {
-    out.push_back(ValueNode{ValueOf(*it), *it});
-  }
-  std::sort(out.begin(), out.end(), [](const ValueNode& a, const ValueNode& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.node < b.node;
-  });
-  return out;
-}
-
 std::pair<const ValueNode*, const ValueNode*> NodeIndex::TagValueRange(
     int32_t tag, int64_t value) const {
   const std::vector<ValueNode>& list = ValueSortedNodes(tag);

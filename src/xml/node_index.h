@@ -1,8 +1,9 @@
 // NodeIndex: per-document access structures shared by the twig-join
 // algorithms and the multi-model engine. It assigns every node a *join
 // value code* in the same dictionary the relational side uses, and keeps
-// per-tag node streams (document order, for TwigStack) and per-tag
-// value-sorted lists (for trie-style enumeration).
+// per-tag node streams (document order: TwigStack, path relations) and
+// per-tag value-sorted lists (the lazy path trie's root level and the
+// validator's candidate runs).
 #ifndef XJOIN_XML_NODE_INDEX_H_
 #define XJOIN_XML_NODE_INDEX_H_
 
@@ -16,7 +17,7 @@
 
 namespace xjoin {
 
-/// How a matched node's join value is derived (DESIGN.md §2).
+/// How a matched node's join value is derived.
 enum class ValuePolicy : uint8_t {
   /// Text content when the node has any, otherwise a synthetic unique
   /// per-node value ("\x1Fnode:<id>"). Default; matches the paper's
@@ -37,7 +38,7 @@ struct ValueNode {
 };
 
 /// Immutable index over one document. The dictionary is shared with the
-/// relational catalog so value codes agree across models.
+/// database's relations so value codes agree across models.
 class NodeIndex {
  public:
   /// Builds the index, interning node values into `dict`.
@@ -55,15 +56,6 @@ class NodeIndex {
 
   /// (value, node) pairs for tag code `tag`, sorted by value then node.
   const std::vector<ValueNode>& ValueSortedNodes(int32_t tag) const;
-
-  /// Children of `parent` with tag code `tag`, as (value, node) pairs
-  /// sorted by value then node. Computed on the fly (the lazy path trie's
-  /// workhorse).
-  std::vector<ValueNode> ChildValues(NodeId parent, int32_t tag) const;
-
-  /// Descendants of `ancestor` with tag code `tag`, value-sorted.
-  /// Uses the region encoding over the per-tag document-order stream.
-  std::vector<ValueNode> DescendantValues(NodeId ancestor, int32_t tag) const;
 
   /// The run of ValueSortedNodes(tag) whose value is `value`, as a
   /// [first, last) range with node ids ascending; empty for unknown tags

@@ -163,13 +163,6 @@ TwigNodeId Twig::NodeByAttribute(const std::string& name) const {
   return kNullTwigNode;
 }
 
-bool Twig::HasDescendantEdge() const {
-  for (size_t i = 1; i < nodes_.size(); ++i) {
-    if (nodes_[i].axis == TwigAxis::kDescendant) return true;
-  }
-  return false;
-}
-
 std::vector<TwigNodeId> Twig::Leaves() const {
   std::vector<TwigNodeId> out;
   for (size_t i = 0; i < nodes_.size(); ++i) {

@@ -62,9 +62,6 @@ class Twig {
   /// Node whose attribute is `name`, or kNullTwigNode.
   TwigNodeId NodeByAttribute(const std::string& name) const;
 
-  /// True if some edge of the twig is A-D.
-  bool HasDescendantEdge() const;
-
   /// Leaves in node-id order.
   std::vector<TwigNodeId> Leaves() const;
 

@@ -50,9 +50,9 @@ TEST(StatusTest, AllCodesHaveNames) {
   }
 }
 
-Result<int64_t> ParsePositive(const std::string& s) {
-  XJ_ASSIGN_OR_RETURN(int64_t v, ParseInt64(s));
-  if (v <= 0) return Status::OutOfRange("not positive: " + s);
+Result<uint64_t> ParsePositive(const std::string& s) {
+  XJ_ASSIGN_OR_RETURN(uint64_t v, ParseUint64(s));
+  if (v == 0) return Status::OutOfRange("not positive: " + s);
   return v;
 }
 
@@ -70,8 +70,8 @@ TEST(ResultTest, ValueAndError) {
 
 TEST(ResultTest, AssignOrReturnPropagates) {
   EXPECT_TRUE(ParsePositive("17").ok());
-  EXPECT_EQ(*ParsePositive("17"), 17);
-  EXPECT_EQ(ParsePositive("-3").status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(*ParsePositive("17"), 17u);
+  EXPECT_EQ(ParsePositive("0").status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(ParsePositive("xyz").status().code(), StatusCode::kParseError);
 }
 
@@ -114,9 +114,6 @@ TEST(RngTest, BoundedStaysInRange) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(rng.NextBounded(7), 7u);
-    int64_t v = rng.NextInRange(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
   }
 }
 
@@ -182,21 +179,6 @@ TEST(StringUtilTest, Join) {
   EXPECT_EQ(JoinStrings({}, ","), "");
 }
 
-TEST(StringUtilTest, ParseInt64) {
-  EXPECT_EQ(*ParseInt64("42"), 42);
-  EXPECT_EQ(*ParseInt64(" -7 "), -7);
-  EXPECT_FALSE(ParseInt64("4x").ok());
-  EXPECT_FALSE(ParseInt64("").ok());
-  EXPECT_FALSE(ParseInt64("999999999999999999999999").ok());
-}
-
-TEST(StringUtilTest, ParseDouble) {
-  EXPECT_DOUBLE_EQ(*ParseDouble("3.5"), 3.5);
-  EXPECT_DOUBLE_EQ(*ParseDouble("-1e3"), -1000.0);
-  EXPECT_FALSE(ParseDouble("3.5z").ok());
-  EXPECT_FALSE(ParseDouble("").ok());
-}
-
 TEST(StringUtilTest, ParseUint64) {
   EXPECT_EQ(*ParseUint64("42"), 42u);
   EXPECT_EQ(*ParseUint64(" 1234 "), 1234u);
@@ -252,11 +234,9 @@ TEST(StatusTest, WithContextPreservesRetryInfo) {
   EXPECT_EQ(st.message(), "tenant admission: pool full");
 }
 
-TEST(StringUtilTest, StartsEndsWith) {
+TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("@name", "@"));
   EXPECT_FALSE(StartsWith("", "@"));
-  EXPECT_TRUE(EndsWith("file.xml", ".xml"));
-  EXPECT_FALSE(EndsWith("xml", ".xml"));
 }
 
 TEST(MetricsTest, AddAndMax) {
@@ -277,13 +257,6 @@ TEST(MetricsTest, NullSafeHelper) {
   Metrics m;
   MetricsAdd(&m, "x", 1);
   EXPECT_EQ(m.Get("x"), 1);
-}
-
-TEST(MetricsTest, ToStringSortsByName) {
-  Metrics m;
-  m.Add("b", 2);
-  m.Add("a", 1);
-  EXPECT_EQ(m.ToString(), "a=1\nb=2\n");
 }
 
 TEST(TimerTest, MeasuresElapsed) {

@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "common/random.h"
-#include "tests/test_util.h"
 #include "xml/node_index.h"
 #include "xml/parser.h"
 
@@ -84,54 +80,6 @@ TEST(NodeIndexTest, UnknownTagYieldsEmpty) {
   EXPECT_TRUE(index.NodesByTag(-1).empty());
   EXPECT_TRUE(index.ValueSortedNodes(12345).empty());
 }
-
-// Property: ChildValues and DescendantValues agree with brute force.
-class NodeIndexProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(NodeIndexProperty, ChildAndDescendantValuesMatchBruteForce) {
-  Rng rng(5000 + static_cast<uint64_t>(GetParam()));
-  auto doc = testing::RandomDocument(&rng, 2 + rng.NextBounded(40),
-                                     {"a", "b", "c"}, 4);
-  Dictionary dict;
-  NodeIndex index = NodeIndex::Build(doc.get(), &dict);
-  for (int32_t tag = 0; tag < doc->tag_dict().size(); ++tag) {
-    for (size_t i = 0; i < doc->num_nodes(); ++i) {
-      NodeId id = static_cast<NodeId>(i);
-
-      auto fast_children = index.ChildValues(id, tag);
-      std::vector<ValueNode> slow_children;
-      for (NodeId c : doc->Children(id)) {
-        if (doc->node(c).tag == tag) {
-          slow_children.push_back(ValueNode{index.ValueOf(c), c});
-        }
-      }
-      std::sort(slow_children.begin(), slow_children.end(),
-                [](const ValueNode& x, const ValueNode& y) {
-                  return x.value != y.value ? x.value < y.value
-                                            : x.node < y.node;
-                });
-      EXPECT_EQ(fast_children, slow_children);
-
-      auto fast_desc = index.DescendantValues(id, tag);
-      std::vector<ValueNode> slow_desc;
-      for (size_t j = 0; j < doc->num_nodes(); ++j) {
-        NodeId d = static_cast<NodeId>(j);
-        if (doc->node(d).tag == tag && doc->IsAncestor(id, d)) {
-          slow_desc.push_back(ValueNode{index.ValueOf(d), d});
-        }
-      }
-      std::sort(slow_desc.begin(), slow_desc.end(),
-                [](const ValueNode& x, const ValueNode& y) {
-                  return x.value != y.value ? x.value < y.value
-                                            : x.node < y.node;
-                });
-      EXPECT_EQ(fast_desc, slow_desc);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomInstances, NodeIndexProperty,
-                         ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace xjoin

@@ -494,6 +494,35 @@ TEST_F(ServingTest, SessionCancelFailsItsQueriesOnly) {
   EXPECT_TRUE(db_.OpenSession().Query(q_).ok());
 }
 
+TEST_F(ServingTest, CancelledSessionPreparesAndExplainsNothing) {
+  // Prepare and Explain poll the same token Query does, so a cancelled
+  // caller never pays for a cold trie build.
+  const int64_t misses = db_.cache_stats().trie_misses;
+  Session session = db_.OpenSession();
+  session.Cancel("session closed");
+  auto prepared = session.Prepare(q_);
+  ASSERT_FALSE(prepared.ok());
+  EXPECT_EQ(prepared.status().code(), StatusCode::kCancelled)
+      << prepared.status().ToString();
+  auto explained = session.Explain(q_);
+  ASSERT_FALSE(explained.ok());
+  EXPECT_EQ(explained.status().code(), StatusCode::kCancelled)
+      << explained.status().ToString();
+  EXPECT_EQ(db_.cache_stats().trie_misses, misses);
+
+  // A cancelled options.cancel does the same on a live session.
+  CancellationToken token;
+  token.Cancel("caller gave up");
+  QueryOptions options;
+  options.cancel = &token;
+  Session live = db_.OpenSession();
+  EXPECT_EQ(live.Prepare(q_, options).status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(live.Explain(q_, options).status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(db_.cache_stats().trie_misses, misses);
+  EXPECT_TRUE(live.Prepare(q_).ok());
+  EXPECT_GT(db_.cache_stats().trie_misses, misses);
+}
+
 TEST_F(ServingTest, PreparedCancelIsStatementScoped) {
   Session session = db_.OpenSession();
   auto doomed = session.Prepare(q_);

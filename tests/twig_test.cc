@@ -76,11 +76,6 @@ TEST(TwigTest, LeavesAndPaths) {
   EXPECT_EQ(t->PathFromRoot(0), (std::vector<TwigNodeId>{0}));
 }
 
-TEST(TwigTest, HasDescendantEdge) {
-  EXPECT_FALSE(Twig::Parse("a/b")->HasDescendantEdge());
-  EXPECT_TRUE(Twig::Parse("a//b")->HasDescendantEdge());
-}
-
 TEST(TwigTest, ToStringRoundTrips) {
   for (const char* pattern :
        {"a", "a/b", "a//b", "a[b]/c", "a[b,c/e]//d", "a[b,//c]/d=dd",

@@ -154,17 +154,6 @@ TEST_P(TwigMatcherProperty, FastMatchersEqualNaive) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, TwigMatcherProperty,
                          ::testing::Range(0, 60));
 
-TEST(MatchersConversionTest, RelationRoundTrip) {
-  auto doc = ParseXml("<a><b/><b/></a>");
-  auto twig = Twig::Parse("a/b");
-  auto matches = MatchTwigNaive(*doc, *twig);
-  auto rel = MatchesToRelation(*twig, matches);
-  ASSERT_TRUE(rel.ok());
-  auto back = RelationToMatches(*twig, *rel);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, matches);
-}
-
 TEST(MatchersTest, SingleNodeTwig) {
   auto doc = ParseXml("<a><b/><b/></a>");
   Dictionary dict;

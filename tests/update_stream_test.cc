@@ -42,7 +42,9 @@ namespace {
 // rows, resurrections) instead of disjoint noise.
 Tuple RandomTuple(Rng* rng, int arity, int64_t domain) {
   Tuple t(static_cast<size_t>(arity));
-  for (auto& v : t) v = rng->NextInRange(0, domain - 1);
+  for (auto& v : t) {
+    v = static_cast<int64_t>(rng->NextBounded(static_cast<uint64_t>(domain)));
+  }
   return t;
 }
 
