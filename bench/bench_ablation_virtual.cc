@@ -1,7 +1,9 @@
 // Abl-1: cost of "not physically transforming" the twig — lazy path
-// tries navigated in place vs materialized path relations + sorted
-// tries. The paper's design keeps path relations virtual; this ablation
-// quantifies what that choice costs/saves.
+// tries navigated in place (the paper's design, materialize_paths =
+// false) vs materialized path relations + CSR tries (the engine's
+// default). Timings are one-shot and uncached: every run flattens its
+// paths again. The row-count check keeps the lazy variant's answers
+// tied to the default's.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -13,10 +15,9 @@ namespace {
 
 void Row(Table* table, const char* name, const MultiModelQuery& query) {
   XJoinOptions lazy;
+  lazy.materialize_paths = false;
   RunStats a = RunXJoin(query, lazy);
-  XJoinOptions mat;
-  mat.materialize_paths = true;
-  RunStats b = RunXJoin(query, mat);
+  RunStats b = RunXJoin(query, XJoinOptions{});
   XJ_CHECK(a.output_rows == b.output_rows);
   table->AddRow({name, FmtInt(a.output_rows), FmtSeconds(a.seconds),
                  FmtSeconds(b.seconds), FmtRatio(b.seconds, a.seconds)});
@@ -52,9 +53,9 @@ void Run() {
   }
   table.Print();
   std::printf(
-      "\nLazy tries avoid enumerating path relations that the join never\n"
-      "asks for (adversarial case); materialization can win when every\n"
-      "chain is visited repeatedly.\n");
+      "\nBoth columns are one-shot and uncached: the materialized column\n"
+      "pays its flatten on every run, which a served read does once per\n"
+      "document version (the database caches path tries).\n");
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
 //             cardinalities, both the gallop and merge strategies
 //   path2     R(A,B) x S(B,C) — the deepest level has one participant,
 //             so it drains as bulk block copies
-//   xmark     the XMark closed-auction join (XJoin end to end, lazy
-//             path tries in the mix — the virtual cursor policy)
+//   xmark     the XMark closed-auction join (XJoin end to end on the
+//             lazy path tries of the paper's ablation — the virtual
+//             cursor policy)
 //
 // The first table times each workload (best of --reps). A second sweep
 // pins the SIMD dispatch override to each compiled kernel table
@@ -112,6 +113,9 @@ RunFn GenericJoinRunFn(std::vector<JoinInput> inputs,
 RunFn XJoinRunFn(const MultiModelQuery& query) {
   return [&query](Metrics* metrics) {
     XJoinOptions options;
+    // Lazy path tries, so xmark keeps the virtual cursor policy in the
+    // mix (no effect on the relation-only agm_tight).
+    options.materialize_paths = false;
     options.metrics = metrics;
     Timer timer;
     auto result = ExecuteXJoin(query, options);

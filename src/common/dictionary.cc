@@ -40,6 +40,17 @@ bool Dictionary::Contains(int64_t code) const {
   return code >= 0 && static_cast<size_t>(code) < strings_.size();
 }
 
+void Dictionary::DecodeMany(const int64_t* codes, size_t n,
+                            const std::string** out) const {
+  std::shared_lock<std::shared_mutex> lock(*mu_);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t code = codes[i];
+    out[i] = code >= 0 && static_cast<size_t>(code) < strings_.size()
+                 ? &strings_[static_cast<size_t>(code)]
+                 : nullptr;
+  }
+}
+
 int64_t Dictionary::size() const {
   std::shared_lock<std::shared_mutex> lock(*mu_);
   return static_cast<int64_t>(strings_.size());

@@ -4,6 +4,7 @@
 #ifndef XJOIN_COMMON_DICTIONARY_H_
 #define XJOIN_COMMON_DICTIONARY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -46,6 +47,14 @@ class Dictionary {
 
   /// Whether `code` is a valid interned code.
   bool Contains(int64_t code) const;
+
+  /// Decodes `n` codes under one reader lock: out[i] points at the
+  /// string for codes[i], or is nullptr when codes[i] is not a valid
+  /// code. The pointers stay valid for the dictionary's lifetime, like
+  /// Decode's reference. Callers bound `n` (a result block) so one call
+  /// does not hold off a writer for a whole result.
+  void DecodeMany(const int64_t* codes, size_t n,
+                  const std::string** out) const;
 
   int64_t size() const;
 

@@ -19,8 +19,9 @@ enum class PathSizeMode {
   /// Exact: materialize each path relation and count tuples.
   /// O(#matching P-C chains) time and memory per path.
   kExact,
-  /// DP chain count — an enumeration-free upper bound (DESIGN.md S10),
-  /// O(document size) per path via PathRelation::CountChains.
+  /// DP chain count — an enumeration-free upper bound (docs/
+  /// ARCHITECTURE.md, "The bound pipeline"), O(document size) per path
+  /// via PathRelation::CountChains.
   kChainCount,
   /// All edges get size `uniform_n` — the paper's "each tag consists of n
   /// nodes" analytical setting (Examples 3.3/3.4).

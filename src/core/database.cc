@@ -175,9 +175,8 @@ void AttachSnapshotSources(XJoinPlan* plan,
 // ---------------------------------------------------------------------------
 
 Status MultiModelDatabase::RegisterRelationCsv(const std::string& name,
-                                               std::string_view csv,
-                                               const CsvOptions& options) {
-  XJ_ASSIGN_OR_RETURN(Relation rel, ReadCsv(csv, options, &dict_));
+                                               std::string_view csv) {
+  XJ_ASSIGN_OR_RETURN(Relation rel, ReadCsv(csv, CsvOptions{}, &dict_));
   return RegisterRelation(name, std::move(rel));
 }
 
@@ -717,11 +716,8 @@ PathTrieProvider MultiModelDatabase::CachePathTrieProvider(
     uint64_t version = snap->documents.find(doc_name)->second.version;
     return CacheOrBuildTrie(
         PathTrieKey(doc_name, version, signature), doc_name, metrics,
-        num_threads, cancel,
-        [&](const TrieBuildOptions& build_options) -> Result<RelationTrie> {
-          XJ_ASSIGN_OR_RETURN(Relation materialized, relation.Materialize());
-          return RelationTrie::Build(materialized, relation.attributes(),
-                                     build_options);
+        num_threads, cancel, [&](const TrieBuildOptions& build_options) {
+          return relation.BuildTrie(build_options);
         });
   };
 }

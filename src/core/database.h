@@ -287,8 +287,7 @@ class MultiModelDatabase {
   Session OpenSession() const;
 
   /// Registers a relation parsed from CSV text.
-  Status RegisterRelationCsv(const std::string& name, std::string_view csv,
-                             const CsvOptions& options = {});
+  Status RegisterRelationCsv(const std::string& name, std::string_view csv);
 
   /// Registers an already-built relation (its codes must come from this
   /// database's dictionary).

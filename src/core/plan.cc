@@ -11,7 +11,6 @@
 #include "common/string_util.h"
 #include "core/bound.h"
 #include "relational/intersect_kernels.h"
-#include "relational/result_batch.h"
 
 namespace xjoin {
 
@@ -52,6 +51,22 @@ std::vector<PlannedInput> CollectInputs(const XJoinPlan& plan) {
   return inputs;
 }
 
+// Why GenericJoin will run the plan on the virtual cursor policy: one
+// entry per input that is not a delta-free CSR trie (a lazy path, or a
+// relation trie with a pending delta side-file). Empty = raw CSR
+// cursors end to end (every input exposes RawTrieSpans).
+std::vector<std::string> VirtualCursorReasons(const XJoinPlan& plan) {
+  std::vector<std::string> reasons;
+  for (const auto& in : CollectInputs(plan)) {
+    if (*in.trie == nullptr) {
+      reasons.push_back("lazy path " + *in.name);
+    } else if ((*in.trie)->has_delta()) {
+      reasons.push_back("pending delta on " + *in.name);
+    }
+  }
+  return reasons;
+}
+
 // Fills plan.levels: participants, coverage, the planned leapfrog lead
 // (smallest static key-count estimate at the input's local level), and
 // the planned intersection kernel — the same selection rule the raw
@@ -59,6 +74,9 @@ std::vector<PlannedInput> CollectInputs(const XJoinPlan& plan) {
 // static estimates.
 void PlanLevels(XJoinPlan* plan) {
   std::vector<PlannedInput> inputs = CollectInputs(*plan);
+  // The cursor policy is chosen for the whole run, so one lazy or delta
+  // input sends every level through the virtual leapfrog.
+  const bool raw = VirtualCursorReasons(*plan).empty();
   plan->levels.reserve(plan->order.size());
   for (const auto& attribute : plan->order) {
     PlanLevel level;
@@ -66,7 +84,6 @@ void PlanLevels(XJoinPlan* plan) {
     int64_t best = std::numeric_limits<int64_t>::max();
     int64_t min_estimate = std::numeric_limits<int64_t>::max();
     int64_t max_estimate = 0;
-    bool all_raw = true;
     for (const auto& in : inputs) {
       auto it = std::find(in.attrs->begin(), in.attrs->end(), attribute);
       if (it == in.attrs->end()) continue;
@@ -80,15 +97,11 @@ void PlanLevels(XJoinPlan* plan) {
       }
       min_estimate = std::min(min_estimate, estimate);
       max_estimate = std::max(max_estimate, estimate);
-      // The raw executor engages only over plain delta-free CSR tries
-      // (RawTrieSpans); lazy path inputs and delta tries leapfrog
-      // through the virtual protocol.
-      if (*in.trie == nullptr || (*in.trie)->has_delta()) all_raw = false;
     }
     level.coverage = static_cast<int>(level.participants.size());
     if (level.coverage <= 1) {
       level.kernel = "drain";
-    } else if (all_raw) {
+    } else if (raw) {
       level.kernel = IntersectStrategyName(ChooseIntersectStrategy(
           level.participants.size(), min_estimate, max_estimate));
     } else {
@@ -281,7 +294,8 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
     plan->rel_inputs.push_back(std::move(input));
   }
 
-  // 4. Pin path tries (ablation only; the default is lazy navigation).
+  // 4. Pin materialized path tries (the default; the lazy ablation
+  // leaves them null and navigates the document at execution).
   if (plan->materialize_paths) {
     for (auto& input : plan->path_inputs) {
       if (options.cancel != nullptr && options.cancel->cancelled()) {
@@ -295,10 +309,7 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
         input.from_provider = input.trie != nullptr;
       }
       if (input.trie == nullptr) {
-        XJ_ASSIGN_OR_RETURN(Relation mat, rel.Materialize());
-        XJ_ASSIGN_OR_RETURN(
-            RelationTrie built,
-            RelationTrie::Build(mat, input.attrs, build_options));
+        XJ_ASSIGN_OR_RETURN(RelationTrie built, rel.BuildTrie(build_options));
         input.trie = std::make_shared<const RelationTrie>(std::move(built));
       }
       (input.from_provider ? plan->tries_provider : plan->tries_built) += 1;
@@ -379,9 +390,11 @@ std::string ExplainPlan(const XJoinPlan& plan) {
     out += ", composite domain ~" + std::to_string(sp.level01_keys);
   }
   out += ")\n";
-  out += "execution: batched (columnar, block=" +
-         std::to_string(kDefaultResultBatchCapacity) +
-         "; CSR levels devirtualized)\n";
+  const std::vector<std::string> virtual_reasons = VirtualCursorReasons(plan);
+  out += virtual_reasons.empty()
+             ? std::string("cursors: raw CSR\n")
+             : "cursors: virtual (" + JoinStrings(virtual_reasons, ", ") +
+                   ")\n";
   // Live property of the host running EXPLAIN, not a plan snapshot: the
   // dispatch level is resolved again wherever the plan executes.
   out += "simd dispatch: " + std::string(SimdLevelName(ActiveSimdLevel())) +

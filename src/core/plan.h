@@ -48,12 +48,12 @@ using TrieProvider = std::function<Result<std::shared_ptr<const RelationTrie>>(
     const std::string& name, const Relation& relation,
     const std::vector<std::string>& order)>;
 
-/// Optional supplier of materialized *path* tries (consulted only when
-/// materialize_paths is set). `signature` identifies the twig path
-/// within its document — PathSignature() below — and, combined with the
-/// document (reachable as &relation.index()) and its version, is the
-/// database's cache key. Same null-means-build-locally contract as
-/// TrieProvider.
+/// Optional supplier of materialized *path* tries (consulted whenever
+/// materialize_paths is set, the default). `signature` identifies the
+/// twig path within its document — PathSignature() below — and,
+/// combined with the document (reachable as &relation.index()) and its
+/// version, is the database's cache key. Same null-means-build-locally
+/// contract as TrieProvider.
 using PathTrieProvider =
     std::function<Result<std::shared_ptr<const RelationTrie>>(
         const PathRelation& relation, const std::string& signature)>;
@@ -69,8 +69,12 @@ struct XJoinOptions {
   std::vector<std::string> attribute_order;
   /// Greedy rule used when attribute_order is empty.
   OrderHeuristic order_heuristic = OrderHeuristic::kCoverage;
-  /// Ablation: flatten path relations to materialized tries first.
-  bool materialize_paths = false;
+  /// Flatten each twig path relation into a CSR trie at prepare time
+  /// (through path_trie_provider, i.e. the database's path-trie cache),
+  /// so the join runs on raw CSR cursors. false is the paper's lazy
+  /// ablation: path relations are navigated in the document in place
+  /// (LazyPathTrieIterator) and the join runs on virtual cursors.
+  bool materialize_paths = true;
   /// §4 extension: prune prefixes whose partial twig structure is
   /// already infeasible.
   bool structural_pruning = false;
@@ -87,8 +91,8 @@ struct XJoinOptions {
   /// Optional trie cache hook (see TrieProvider above). Empty = every
   /// prepare builds its own relation tries.
   TrieProvider trie_provider;
-  /// Optional materialized-path-trie cache hook (used only with
-  /// materialize_paths). Empty = materialize and build locally.
+  /// Optional materialized-path-trie cache hook (used whenever
+  /// materialize_paths is set). Empty = materialize and build locally.
   PathTrieProvider path_trie_provider;
   /// Optional per-query admission budget (nullable), shared by the
   /// expansion loop and the final structural validation: every
@@ -134,9 +138,10 @@ struct PlanLevel {
   /// Planned intersection kernel for the level, shown by EXPLAIN:
   /// "drain" (single participant: bulk block copies), "gallop"/"merge" (the
   /// SIMD-dispatched raw-CSR kernel, strategy picked from the static
-  /// cardinality skew), or "leapfrog" (non-CSR participant, virtual
-  /// protocol). Like the lead, the executor re-decides per prefix from
-  /// live estimates; this is the a-priori choice.
+  /// cardinality skew), or "leapfrog" (the plan runs on virtual cursors
+  /// because some input is not a delta-free CSR trie). Like the lead,
+  /// the executor re-decides per prefix from live estimates; this is
+  /// the a-priori choice.
   std::string kernel;
 };
 
@@ -170,7 +175,7 @@ struct XJoinPlan {
 
   // --- plan-shaping option snapshot (part of the cache fingerprint) ---
   OrderHeuristic order_heuristic = OrderHeuristic::kCoverage;
-  bool materialize_paths = false;
+  bool materialize_paths = true;
   bool structural_pruning = false;
   int num_threads = 1;
   int num_shards = 0;
@@ -204,9 +209,9 @@ struct XJoinPlan {
   };
   std::vector<TwigExec> twigs;
 
-  /// One twig path input ("twig<i>.P<j>"): lazy by default (trie left
-  /// null, ExecutePlan navigates the document in place), materialized
-  /// and pinned when materialize_paths is set.
+  /// One twig path input ("twig<i>.P<j>"): materialized and pinned by
+  /// default; under the lazy ablation (materialize_paths = false) the
+  /// trie stays null and ExecutePlan navigates the document in place.
   struct PathInput {
     std::string name;
     size_t twig_index = 0;

@@ -4,9 +4,12 @@
 // The paper's XJoin "considers P-C relations as relational tables for
 // the size bound, but does not physically transform them" — LazyPathTrie
 // realizes exactly that: a TrieIterator that navigates the document in
-// place, grouping candidate nodes by join value level by level.
-// MaterializePathRelation flattens the same relation into a Relation for
-// the ablation study and for exact size-bound inputs.
+// place, grouping candidate nodes by join value level by level. It is
+// the lazy ablation (XJoinOptions::materialize_paths = false). The
+// default flattens each path once into a CSR RelationTrie (BuildTrie),
+// cached per document version, so the join runs on raw CSR cursors;
+// Materialize gives the same relation as a Relation for exact
+// size-bound inputs.
 #ifndef XJOIN_CORE_VIRTUAL_RELATION_H_
 #define XJOIN_CORE_VIRTUAL_RELATION_H_
 
@@ -18,6 +21,7 @@
 #include "common/status.h"
 #include "core/decompose.h"
 #include "relational/relation.h"
+#include "relational/trie.h"
 #include "relational/trie_iterator.h"
 #include "xml/node_index.h"
 #include "xml/twig.h"
@@ -48,6 +52,10 @@ class PathRelation {
   /// Flattens to value tuples (set semantics). O(#chains).
   Result<Relation> Materialize() const;
 
+  /// The materialized path trie: the relation as a CSR RelationTrie in
+  /// attribute order (root first). O(#chains).
+  Result<RelationTrie> BuildTrie(const TrieBuildOptions& options) const;
+
   /// Number of P-C chains matching the path (duplicate value tuples
   /// counted), by dynamic programming over the document — an upper bound
   /// on the relation's cardinality, computed without enumeration.
@@ -55,6 +63,9 @@ class PathRelation {
 
  private:
   PathRelation() = default;
+
+  // One row per P-C chain: unsorted, duplicate value tuples kept.
+  Result<Relation> EnumerateChains() const;
 
   std::vector<std::string> attributes_;
   std::vector<int32_t> tags_;

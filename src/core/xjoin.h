@@ -9,10 +9,12 @@
 // (core/plan.h): PrepareXJoin derives everything shape-dependent once
 // (order, decompositions, shard plan, pinned tries) and ExecutePlan
 // replays it — ExecuteXJoin below is exactly Prepare + Execute. The
-// path relations are navigated lazily by default ("we do not physically
-// transform them into relational tables"); set materialize_paths for
-// the ablation. structural_pruning enables the paper's on-going-work
-// extension: partially validating the twig during the join.
+// path relations are flattened into cached CSR tries by default, so the
+// join runs on raw CSR cursors; materialize_paths = false is the
+// paper's lazy variant ("we do not physically transform them into
+// relational tables"), kept as an ablation. structural_pruning enables
+// the paper's on-going-work extension: partially validating the twig
+// during the join.
 #ifndef XJOIN_CORE_XJOIN_H_
 #define XJOIN_CORE_XJOIN_H_
 

@@ -1,6 +1,11 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/dictionary.h"
+#include "relational/relation.h"
+#include "relational/result_batch.h"
 
 namespace xjoin {
 namespace net {
@@ -111,6 +116,38 @@ class PayloadReader {
   size_t pos_ = 0;
 };
 
+// The kResult payload, written once for both result encoders: u32
+// column count and the column names, u64 row count, then every row's
+// cells row-major as length-prefixed strings. Stops growing once the
+// payload outgrows one frame; Finish then fails kResourceExhausted.
+class ResultPayloadWriter {
+ public:
+  ResultPayloadWriter(const std::vector<std::string>& columns,
+                      uint64_t num_rows) {
+    w_.PutU32(static_cast<uint32_t>(columns.size()));
+    for (const std::string& name : columns) w_.PutString(name);
+    w_.PutU64(num_rows);
+  }
+
+  /// Appends one cell; false once the payload exceeds the frame cap.
+  bool PutCell(std::string_view cell) {
+    w_.PutString(cell);
+    return w_.size() <= kMaxPayloadBytes;
+  }
+
+  Result<std::string> Finish() {
+    if (w_.size() > kMaxPayloadBytes) {
+      return Status::ResourceExhausted(
+          "serialized result exceeds the 64 MiB frame cap; constrain the "
+          "query with max_rows / max_bytes");
+    }
+    return w_.Take();
+  }
+
+ private:
+  PayloadWriter w_;
+};
+
 }  // namespace
 
 bool IsKnownFrameType(uint8_t type) {
@@ -187,23 +224,46 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view payload) {
 }
 
 Result<std::string> EncodeQueryResultSet(const QueryResultSet& result) {
-  PayloadWriter w;
-  w.PutU32(static_cast<uint32_t>(result.columns.size()));
-  for (const std::string& name : result.columns) w.PutString(name);
-  w.PutU64(result.rows.size());
+  ResultPayloadWriter w(result.columns, result.rows.size());
   for (const auto& row : result.rows) {
     for (const std::string& cell : row) {
-      w.PutString(cell);
-      if (w.size() > kMaxPayloadBytes) break;  // fail below, stop growing
+      if (!w.PutCell(cell)) return w.Finish();
     }
-    if (w.size() > kMaxPayloadBytes) break;
   }
-  if (w.size() > kMaxPayloadBytes) {
-    return Status::ResourceExhausted(
-        "serialized result exceeds the 64 MiB frame cap; constrain the "
-        "query with max_rows / max_bytes");
+  return w.Finish();
+}
+
+Result<std::string> EncodeRelationResultSet(const Relation& relation,
+                                            const Dictionary& dict) {
+  const size_t num_rows = relation.num_rows();
+  const size_t num_columns = relation.num_columns();
+  ResultPayloadWriter w(relation.schema().attributes(), num_rows);
+  if (num_columns == 0) return w.Finish();  // no cells, no block size
+  // Decode a block of rows at a time, one DecodeMany (one reader lock)
+  // per column of at most kDefaultResultBatchCapacity codes.
+  const size_t block_rows = std::max<size_t>(
+      1, static_cast<size_t>(kDefaultResultBatchCapacity) / num_columns);
+  std::vector<const std::string*> cells(block_rows * num_columns);
+  std::string unknown;
+  for (size_t begin = 0; begin < num_rows; begin += block_rows) {
+    const size_t n = std::min(block_rows, num_rows - begin);
+    for (size_t c = 0; c < num_columns; ++c) {
+      dict.DecodeMany(relation.column(c).data() + begin, n,
+                      &cells[c * block_rows]);
+    }
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = 0; c < num_columns; ++c) {
+        const std::string* cell = cells[c * block_rows + r];
+        if (cell == nullptr) {
+          // Not in the dictionary (synthetic data only): "#<code>".
+          unknown = "#" + std::to_string(relation.at(begin + r, c));
+          cell = &unknown;
+        }
+        if (!w.PutCell(*cell)) return w.Finish();
+      }
+    }
   }
-  return w.Take();
+  return w.Finish();
 }
 
 Result<QueryResultSet> DecodeQueryResultSet(std::string_view payload) {

@@ -40,6 +40,10 @@
 #include "common/status.h"
 
 namespace xjoin {
+
+class Dictionary;
+class Relation;
+
 namespace net {
 
 inline constexpr uint32_t kFrameMagic = 0x584A4F49;  // "XJOI"
@@ -103,6 +107,13 @@ struct QueryResultSet {
 /// of retrying.
 Result<std::string> EncodeQueryResultSet(const QueryResultSet& result);
 Result<QueryResultSet> DecodeQueryResultSet(std::string_view payload);
+
+/// Encodes a query's result relation straight into the kResult payload,
+/// decoding its codes through `dict` block by block: the same bytes as
+/// EncodeQueryResultSet of the per-cell QueryResultSet, without building
+/// a string per cell. Same "#<code>" fallback and frame cap.
+Result<std::string> EncodeRelationResultSet(const Relation& relation,
+                                            const Dictionary& dict);
 
 /// Serializes a non-OK Status, including its RetryInfo when present.
 std::string EncodeErrorStatus(const Status& status);

@@ -516,22 +516,8 @@ void XJoinServer::WorkerLoop() {
     FrameType type = FrameType::kError;
     std::string payload;
     if (result.ok()) {
-      const Relation& rel = *result;
-      const Dictionary& dict = db_->dictionary();
-      QueryResultSet rs;
-      rs.columns = rel.schema().attributes();
-      rs.rows.reserve(rel.num_rows());
-      for (size_t r = 0; r < rel.num_rows(); ++r) {
-        std::vector<std::string> row;
-        row.reserve(rel.num_columns());
-        for (size_t c = 0; c < rel.num_columns(); ++c) {
-          const int64_t code = rel.at(r, c);
-          row.push_back(dict.Contains(code) ? dict.Decode(code)
-                                            : "#" + std::to_string(code));
-        }
-        rs.rows.push_back(std::move(row));
-      }
-      Result<std::string> encoded = EncodeQueryResultSet(rs);
+      Result<std::string> encoded =
+          EncodeRelationResultSet(*result, db_->dictionary());
       if (encoded.ok()) {
         type = FrameType::kResult;
         payload = std::move(*encoded);

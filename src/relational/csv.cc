@@ -9,10 +9,12 @@ namespace xjoin {
 
 namespace {
 
+constexpr char kDelimiter = ',';
+
 // Splits one CSV record honoring quotes. Returns ParseError on dangling
 // quote.
 Result<std::vector<std::string>> SplitCsvLine(std::string_view line,
-                                              char delimiter, size_t line_no) {
+                                              size_t line_no) {
   std::vector<std::string> fields;
   std::string cur;
   bool in_quotes = false;
@@ -31,7 +33,7 @@ Result<std::vector<std::string>> SplitCsvLine(std::string_view line,
       }
     } else if (c == '"') {
       in_quotes = true;
-    } else if (c == delimiter) {
+    } else if (c == kDelimiter) {
       fields.push_back(std::move(cur));
       cur.clear();
     } else {
@@ -65,7 +67,7 @@ Result<Relation> ReadCsv(std::string_view text, const CsvOptions& options,
   size_t first_data = 0;
   std::vector<std::string> names;
   XJ_ASSIGN_OR_RETURN(std::vector<std::string> first_fields,
-                      SplitCsvLine(lines[0], options.delimiter, 1));
+                      SplitCsvLine(lines[0], 1));
   size_t arity = first_fields.size();
   if (options.has_header) {
     for (auto& f : first_fields) names.emplace_back(TrimWhitespace(f));
@@ -80,7 +82,7 @@ Result<Relation> ReadCsv(std::string_view text, const CsvOptions& options,
   Tuple row(arity);
   for (size_t ln = first_data; ln < lines.size(); ++ln) {
     XJ_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                        SplitCsvLine(lines[ln], options.delimiter, ln + 1));
+                        SplitCsvLine(lines[ln], ln + 1));
     if (fields.size() != arity) {
       return Status::ParseError(
           "line " + std::to_string(ln + 1) + ": expected " +
@@ -105,20 +107,19 @@ Result<Relation> ReadCsvFile(const std::string& path, const CsvOptions& options,
   return rel;
 }
 
-std::string WriteCsv(const Relation& relation, const Dictionary& dict,
-                     char delimiter) {
+std::string WriteCsv(const Relation& relation, const Dictionary& dict) {
   std::ostringstream out;
   const auto& schema = relation.schema();
   for (size_t c = 0; c < schema.size(); ++c) {
-    if (c) out << delimiter;
+    if (c) out << kDelimiter;
     out << schema.attribute(c);
   }
   out << "\n";
   for (size_t r = 0; r < relation.num_rows(); ++r) {
     for (size_t c = 0; c < relation.num_columns(); ++c) {
-      if (c) out << delimiter;
+      if (c) out << kDelimiter;
       const std::string& s = dict.Decode(relation.at(r, c));
-      bool needs_quote = s.find(delimiter) != std::string::npos ||
+      bool needs_quote = s.find(kDelimiter) != std::string::npos ||
                          s.find('"') != std::string::npos;
       if (needs_quote) {
         out << '"';

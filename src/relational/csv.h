@@ -1,6 +1,6 @@
-// CSV ingestion: parse delimited text into a Relation, dictionary-
-// encoding every cell. Supports quoted fields with embedded delimiters
-// and doubled quotes (RFC 4180 subset, no embedded newlines).
+// CSV ingestion: parse comma-separated text into a Relation,
+// dictionary-encoding every cell. Supports quoted fields with embedded
+// commas and doubled quotes (RFC 4180 subset, no embedded newlines).
 #ifndef XJOIN_RELATIONAL_CSV_H_
 #define XJOIN_RELATIONAL_CSV_H_
 
@@ -15,7 +15,6 @@ namespace xjoin {
 
 /// Options for ReadCsv.
 struct CsvOptions {
-  char delimiter = ',';
   /// If true the first line provides attribute names; otherwise names are
   /// col0, col1, ...
   bool has_header = true;
@@ -32,8 +31,7 @@ Result<Relation> ReadCsvFile(const std::string& path, const CsvOptions& options,
                              Dictionary* dict);
 
 /// Renders `relation` as CSV, decoding codes through `dict`.
-std::string WriteCsv(const Relation& relation, const Dictionary& dict,
-                     char delimiter = ',');
+std::string WriteCsv(const Relation& relation, const Dictionary& dict);
 
 }  // namespace xjoin
 

@@ -7,8 +7,7 @@
 // through the twig invoice[orderID]/orderLine[ISBN]/price, producing
 // Q(userID, ISBN, price). TPC data itself is not redistributable
 // offline; the generator mimics the relevant shape (uniform keys with a
-// configurable matched fraction and Zipf-skewed books per line) — see
-// DESIGN.md "Substitutions".
+// configurable matched fraction and Zipf-skewed books per line).
 #ifndef XJOIN_WORKLOAD_BOOKSTORE_H_
 #define XJOIN_WORKLOAD_BOOKSTORE_H_
 

@@ -4,7 +4,7 @@
 // people / person, open_auctions / bidders, closed_auctions) and
 // Zipf-skewed cross references — exercising the same code paths
 // (value joins between deep twig matches and relational tables over
-// skewed keys). See DESIGN.md "Substitutions".
+// skewed keys).
 #ifndef XJOIN_WORKLOAD_XMARK_H_
 #define XJOIN_WORKLOAD_XMARK_H_
 

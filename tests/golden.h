@@ -3,8 +3,9 @@
 // of one run, recorded once from the row-at-a-time scalar engine (one
 // virtual Key/Next/Seek round per binding, one AppendRow per result
 // row) before that engine was retired; the rejecting-path cases
-// ("plan/reject*") came later from the single loop and are held to the
-// brute-force reference by xjoin_test. The single expansion loop must
+// ("plan/reject*") and the XJoin cases' "/materialized" twins came
+// later from the single loop and are held to the brute-force reference
+// by xjoin_test. The single expansion loop must
 // reproduce every record exactly under both of its cursor policies, at
 // every thread count and SIMD dispatch level the suites sweep.
 //

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/dictionary.h"
 #include "common/fault.h"
 #include "common/string_util.h"
 #include "core/database.h"
@@ -26,6 +27,7 @@
 #include "net/frame.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "relational/relation.h"
 
 namespace xjoin {
 namespace {
@@ -42,6 +44,7 @@ using net::EncodeFrameHeader;
 using net::EncodeHealthReply;
 using net::EncodeQueryRequest;
 using net::EncodeQueryResultSet;
+using net::EncodeRelationResultSet;
 using net::FrameHeader;
 using net::FrameType;
 using net::HealthReply;
@@ -205,6 +208,68 @@ TEST(FrameTest, OversizeResultSetFailsEncodeWithTypedStatus) {
   EXPECT_EQ(wire.status().code(), StatusCode::kResourceExhausted);
 }
 
+// The per-cell conversion EncodeRelationResultSet replaces: one string
+// per cell, "#<code>" for codes the dictionary does not hold.
+QueryResultSet PerCellResultSet(const Relation& rel, const Dictionary& dict) {
+  QueryResultSet rs;
+  rs.columns = rel.schema().attributes();
+  for (size_t r = 0; r < rel.num_rows(); ++r) {
+    std::vector<std::string> row;
+    for (size_t c = 0; c < rel.num_columns(); ++c) {
+      const int64_t code = rel.at(r, c);
+      row.push_back(dict.Contains(code) ? dict.Decode(code)
+                                        : "#" + std::to_string(code));
+    }
+    rs.rows.push_back(std::move(row));
+  }
+  return rs;
+}
+
+TEST(FrameTest, RelationResultSetEncodesLikeThePerCellConversion) {
+  Dictionary dict;
+  auto schema = Schema::Make({"A", "B", "C"});
+  ASSERT_TRUE(schema.ok());
+  Relation rel(*schema);
+  // Enough rows to span several decode blocks, with unknown codes (one
+  // past the dictionary, and negative) mixed in.
+  for (int i = 0; i < 2500; ++i) {
+    rel.AppendRow({dict.Intern("v" + std::to_string(i % 97)),
+                   i % 11 == 0 ? int64_t{100000} + i
+                               : dict.Intern(std::string(i % 5, 'x')),
+                   i % 13 == 0 ? int64_t{-7} : dict.Intern("")});
+  }
+  auto direct = EncodeRelationResultSet(rel, dict);
+  auto per_cell = EncodeQueryResultSet(PerCellResultSet(rel, dict));
+  ASSERT_TRUE(direct.ok() && per_cell.ok());
+  EXPECT_EQ(*direct, *per_cell);
+  auto decoded = DecodeQueryResultSet(*direct);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->rows[0][1], "#100000");
+  EXPECT_EQ(decoded->rows[0][2], "#-7");
+
+  // An empty result keeps its columns.
+  Relation empty(*schema);
+  auto empty_direct = EncodeRelationResultSet(empty, dict);
+  auto empty_per_cell = EncodeQueryResultSet(PerCellResultSet(empty, dict));
+  ASSERT_TRUE(empty_direct.ok() && empty_per_cell.ok());
+  EXPECT_EQ(*empty_direct, *empty_per_cell);
+}
+
+TEST(FrameTest, OversizeRelationResultSetFailsLikeThePerCellEncoder) {
+  Dictionary dict;
+  auto schema = Schema::Make({"blob"});
+  ASSERT_TRUE(schema.ok());
+  Relation rel(*schema);
+  const int64_t big = dict.Intern(std::string(16u << 20, 'x'));
+  for (int i = 0; i < 5; ++i) rel.AppendRow({big});
+  auto direct = EncodeRelationResultSet(rel, dict);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kResourceExhausted);
+  auto per_cell = EncodeQueryResultSet(PerCellResultSet(rel, dict));
+  ASSERT_FALSE(per_cell.ok());
+  EXPECT_EQ(direct.status().message(), per_cell.status().message());
+}
+
 TEST(FrameTest, ErrorStatusRoundTripsWithAndWithoutRetryInfo) {
   const Status plain = Status::InvalidArgument("no such relation: Z");
   Status decoded;
@@ -282,25 +347,14 @@ class NetTest : public ::testing::Test {
     return options;
   }
 
-  /// The in-process answer for `query`, decoded exactly the way the
-  /// server decodes rows for the wire.
+  /// The in-process answer for `query`, decoded cell by cell (the
+  /// conversion the server's encoder is held to byte for byte).
   std::vector<std::vector<std::string>> ExpectedRows(
       const std::string& query) {
     auto result = db_.OpenSession().Query(query);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    std::vector<std::vector<std::string>> rows;
-    if (!result.ok()) return rows;
-    const Dictionary& dict = db_.dictionary();
-    for (size_t r = 0; r < result->num_rows(); ++r) {
-      std::vector<std::string> row;
-      for (size_t c = 0; c < result->num_columns(); ++c) {
-        const int64_t code = result->at(r, c);
-        row.push_back(dict.Contains(code) ? dict.Decode(code)
-                                          : "#" + std::to_string(code));
-      }
-      rows.push_back(std::move(row));
-    }
-    return rows;
+    if (!result.ok()) return {};
+    return PerCellResultSet(*result, db_.dictionary()).rows;
   }
 
   /// Raw connected socket to the server (caller closes).

@@ -15,7 +15,6 @@
 #include "core/database.h"
 #include "core/xjoin.h"
 #include "relational/operators.h"
-#include "relational/result_batch.h"
 #include "tests/golden.h"
 
 namespace xjoin {
@@ -123,30 +122,62 @@ TEST_F(PlanTest, OptionsFingerprintSeparatesVariants) {
   XJoinOptions pruning;
   pruning.structural_pruning = true;
   ASSERT_TRUE(Run(q_, pruning).ok());
-  XJoinOptions materialized;
-  materialized.materialize_paths = true;
-  ASSERT_TRUE(Run(q_, materialized).ok());
+  XJoinOptions lazy;
+  lazy.materialize_paths = false;
+  ASSERT_TRUE(Run(q_, lazy).ok());
   EXPECT_EQ(db_.cache_stats().plan_entries, 4u);
   EXPECT_EQ(db_.cache_stats().plan_hits, 0);
   EXPECT_EQ(db_.cache_stats().plan_misses, 4);
   // Re-running each variant hits its own entry.
   ASSERT_TRUE(Run(q_, threaded).ok());
-  ASSERT_TRUE(Run(q_, materialized).ok());
+  ASSERT_TRUE(Run(q_, lazy).ok());
   EXPECT_EQ(db_.cache_stats().plan_hits, 2);
   EXPECT_EQ(db_.cache_stats().plan_entries, 4u);
 }
 
 TEST_F(PlanTest, ExplainShowsExecutionMode) {
-  // Execution is always batched (block = kDefaultResultBatchCapacity)
-  // and renders the live SIMD dispatch level plus a per-level kernel.
+  // The default twig query pins materialized path tries from the db
+  // cache, so every input is a delta-free CSR trie and the plan runs on
+  // raw cursors; EXPLAIN also renders the live SIMD dispatch level and
+  // a per-level kernel.
   auto text = db_.OpenSession().Explain(q_);
   ASSERT_TRUE(text.ok());
-  EXPECT_NE(text->find("execution: batched (columnar, block=" +
-                       std::to_string(kDefaultResultBatchCapacity)),
-            std::string::npos);
+  EXPECT_NE(text->find("[materialized, db cache]"), std::string::npos);
+  EXPECT_NE(text->find("cursors: raw CSR\n"), std::string::npos);
+  EXPECT_EQ(text->find("cursors: virtual"), std::string::npos);
   EXPECT_NE(text->find("simd dispatch: "), std::string::npos);
   EXPECT_NE(text->find("kernel "), std::string::npos);
-  EXPECT_EQ(text->find("kernel scalar"), std::string::npos);
+  EXPECT_EQ(text->find("kernel leapfrog"), std::string::npos);
+}
+
+TEST_F(PlanTest, ExplainNamesTheLazyPathsOfTheAblation) {
+  QueryOptions options;
+  options.xjoin.materialize_paths = false;
+  auto text = db_.OpenSession().Explain(q_, options);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("[lazy]"), std::string::npos);
+  EXPECT_NE(text->find("cursors: virtual (lazy path twig1.P1, lazy path "
+                       "twig1.P2)\n"),
+            std::string::npos);
+  EXPECT_EQ(text->find("cursors: raw CSR"), std::string::npos);
+  // One lazy input sends every level through the virtual leapfrog.
+  EXPECT_EQ(text->find("kernel gallop"), std::string::npos);
+  EXPECT_EQ(text->find("kernel merge"), std::string::npos);
+}
+
+TEST_F(PlanTest, ExplainNamesARelationWithAPendingDelta) {
+  const std::string join = "Q(*) := R, S";
+  ASSERT_TRUE(Run(join).ok());  // caches R's trie, so the delta patches it
+  Dictionary* dict = db_.mutable_dictionary();
+  RelationDelta delta;
+  delta.inserts = {{dict->Intern("3"), dict->Intern("x")}};
+  ASSERT_TRUE(db_.ApplyRelationDelta("R", delta).ok());
+  ASSERT_GT(db_.cache_stats().trie_patches, 0);
+  auto text = db_.OpenSession().Explain(join);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("cursors: virtual (pending delta on R)\n"),
+            std::string::npos)
+      << *text;
 }
 
 // Cold and cached executions through the database reproduce the golden
@@ -156,6 +187,7 @@ TEST_F(PlanTest, ExecutionMatchesGoldenRecord) {
   for (int threads : {1, 4}) {
     for (int pass = 0; pass < 2; ++pass) {
       XJoinOptions options;
+      options.materialize_paths = false;  // recorded on lazy path tries
       options.num_threads = threads;
       Metrics metrics;
       options.metrics = &metrics;
@@ -180,6 +212,7 @@ TEST(PlanGoldenTest, RejectingPathMatchesGoldenRecord) {
     for (int threads : {1, 4}) {
       for (int pass = 0; pass < 2; ++pass) {
         QueryOptions options;
+        options.xjoin.materialize_paths = false;  // recorded lazy
         options.xjoin.structural_pruning = pruning;
         options.xjoin.num_threads = threads;
         Metrics metrics;
@@ -230,9 +263,7 @@ TEST_F(PlanTest, UpdateRelationInvalidatesDependentPlans) {
 }
 
 TEST_F(PlanTest, DocumentMutationInvalidatesPlansAndPathTries) {
-  XJoinOptions mat;
-  mat.materialize_paths = true;
-  ASSERT_TRUE(Run(q_, mat).ok());
+  ASSERT_TRUE(Run(q_).ok());
   // 2 relation tries + 2 materialized path tries (item/B, item/D).
   EXPECT_EQ(db_.cache_stats().trie_entries, 4u);
   EXPECT_EQ(*db_.document_version("doc"), 0u);
@@ -250,7 +281,7 @@ TEST_F(PlanTest, DocumentMutationInvalidatesPlansAndPathTries) {
   EXPECT_EQ(db_.cache_stats().plan_entries, 0u);
   EXPECT_GE(db_.cache_stats().plan_invalidations, 1);
 
-  auto result = Run("Q(D) := R, S, doc : item[B]/D", mat);
+  auto result = Run("Q(D) := R, S, doc : item[B]/D");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->ContainsRow({db_.dictionary().Lookup("7")}));
   // The new document's path tries were cached under the new version.
@@ -262,7 +293,6 @@ TEST_F(PlanTest, DocumentMutationInvalidatesPlansAndPathTries) {
 
 TEST_F(PlanTest, RepeatedMaterializedPathQueriesHitThePathTrieCache) {
   XJoinOptions mat;
-  mat.materialize_paths = true;
   ASSERT_TRUE(Run(q_, mat).ok());
   int64_t misses = db_.cache_stats().trie_misses;
   EXPECT_EQ(misses, 4);  // 2 relations + 2 paths

@@ -477,6 +477,67 @@ TEST_F(ServingTest, CacheStatsAgreeWithPerQueryMetrics) {
   EXPECT_GT(stats.trie_bytes, 0u);
 }
 
+// A twig read on default options pins materialized path tries from the
+// trie cache: later reads build nothing, and a document replacement
+// costs its next read exactly one cold path trie.
+TEST_F(ServingTest, DefaultTwigReadsServeCachedPathTries) {
+  auto items = [](int n) {
+    std::string xml = "<items>";
+    for (int i = 0; i < n; ++i) {
+      xml += "<item>i" + std::to_string(i) + "<B>" + std::to_string(i % 9) +
+             "</B></item>";
+    }
+    return xml + "</items>";
+  };
+  ASSERT_TRUE(db_.RegisterDocumentXml("doc", items(12)).ok());
+  const std::string twig_q = "Q(A, B, item) := R, doc : item/B";
+  auto read = [&](Metrics* metrics) {
+    QueryOptions options;
+    options.metrics = metrics;
+    return db_.OpenSession().Query(twig_q, options);
+  };
+
+  Metrics cold;
+  ASSERT_TRUE(read(&cold).ok());
+  EXPECT_EQ(cold.Get("db.trie_cache.misses"), 2);  // R + the path item/B
+  EXPECT_EQ(cold.Get("trie.builds"), 2);
+
+  // A fresh session's second read replays the cached plan.
+  Metrics warm;
+  auto second = read(&warm);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(warm.Get("db.plan_cache.hits"), 1);
+  EXPECT_EQ(warm.Get("trie.builds"), 0);
+  // Re-planned, it pins both tries from the trie cache.
+  db_.ClearPlanCache();
+  Metrics replanned;
+  ASSERT_TRUE(read(&replanned).ok());
+  EXPECT_EQ(replanned.Get("db.plan_cache.misses"), 1);
+  EXPECT_EQ(replanned.Get("db.trie_cache.hits"), 2);
+  EXPECT_EQ(replanned.Get("db.trie_cache.misses"), 0);
+  EXPECT_EQ(replanned.Get("trie.builds"), 0);
+
+  // A document replacement drops its path trie: the next read misses
+  // once (R's trie still hits) and answers like the baseline engine.
+  ASSERT_TRUE(db_.UpdateDocumentXml("doc", items(20)).ok());
+  Metrics swapped;
+  auto after = read(&swapped);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(swapped.Get("db.trie_cache.misses"), 1);
+  EXPECT_EQ(swapped.Get("db.trie_cache.hits"), 1);
+  EXPECT_EQ(swapped.Get("trie.builds"), 1);
+  QueryOptions baseline;
+  baseline.engine = Engine::kBaseline;
+  auto expected = db_.OpenSession().Query(twig_q, baseline);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto lhs = after->ToTuples();
+  auto rhs = expected->ToTuples();
+  std::sort(lhs.begin(), lhs.end());
+  std::sort(rhs.begin(), rhs.end());
+  EXPECT_GT(lhs.size(), second->num_rows());
+  EXPECT_EQ(lhs, rhs);
+}
+
 // ---------------------------------------------------------------------------
 // Cooperative cancellation.
 
@@ -1122,19 +1183,20 @@ TEST_F(ServingTest, FaultTrieBuildFailsQueryWithoutPoisoningCache) {
   FaultInjector::Global().Disarm();
   EXPECT_TRUE(db_.OpenSession().Query(q_).ok());
 
-  // The path-trie caller of the same cache-or-build step: a
-  // materialize_paths query over a document alone, so every trie it
-  // builds is a path trie. Its reference rows come from the lazy path
-  // tries, which never touch the trie cache.
+  // The path-trie caller of the same cache-or-build step: a query over
+  // a document alone (materialized path tries, the default), so every
+  // trie it builds is a path trie. Its reference rows come from the
+  // lazy path tries, which never touch the trie cache.
   ASSERT_TRUE(db_.RegisterDocumentXml("doc", R"(
       <items><item><B>1</B><D>5</D></item>
              <item><B>2</B><D>6</D></item></items>)")
                   .ok());
   const std::string doc_q = "Q(*) := doc : item[B]/D";
-  const auto expected = db_.OpenSession().Query(doc_q)->ToTuples();
+  QueryOptions lazy;
+  lazy.xjoin.materialize_paths = false;
+  const auto expected = db_.OpenSession().Query(doc_q, lazy)->ToTuples();
   ASSERT_FALSE(expected.empty());
   QueryOptions materialized;
-  materialized.xjoin.materialize_paths = true;
   const size_t entries = db_.cache_stats().trie_entries;
   FaultInjector::Global().FailAt("trie.build", 1);
   auto failed = db_.OpenSession().Query(doc_q, materialized);

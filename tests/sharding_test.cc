@@ -245,22 +245,28 @@ TEST(ShardedGenericJoinTest, ShardedRunIsDeterministic) {
 
 // --- XJoin-level equivalence on the seed workloads -----------------------
 
+// Under both path modes: materialized path tries (raw cursors) and the
+// lazy ablation (virtual cursors).
 void ExpectShardedXJoinMatchesSerial(const MultiModelQuery& query,
                                      XJoinOptions base) {
-  base.num_threads = 1;
-  base.num_shards = 0;
-  auto serial = ExecuteXJoin(query, base);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (int threads : {2, 4}) {
-    for (int shards : {0, 3}) {
-      XJoinOptions opts = base;
-      opts.num_threads = threads;
-      opts.num_shards = shards;
-      auto sharded = ExecuteXJoin(query, opts);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " shards=" + std::to_string(shards));
-      ExpectByteIdentical(*serial, *sharded);
+  for (bool materialize : {true, false}) {
+    base.materialize_paths = materialize;
+    base.num_threads = 1;
+    base.num_shards = 0;
+    auto serial = ExecuteXJoin(query, base);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    for (int threads : {2, 4}) {
+      for (int shards : {0, 3}) {
+        XJoinOptions opts = base;
+        opts.num_threads = threads;
+        opts.num_shards = shards;
+        auto sharded = ExecuteXJoin(query, opts);
+        ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+        SCOPED_TRACE("materialize=" + std::to_string(materialize) +
+                     " threads=" + std::to_string(threads) +
+                     " shards=" + std::to_string(shards));
+        ExpectByteIdentical(*serial, *sharded);
+      }
     }
   }
 }
@@ -284,9 +290,6 @@ TEST(ShardedXJoinTest, PaperExampleWithPruningAndMaterializedPaths) {
   XJoinOptions pruning;
   pruning.structural_pruning = true;
   ExpectShardedXJoinMatchesSerial(q, pruning);
-  XJoinOptions materialized;
-  materialized.materialize_paths = true;
-  ExpectShardedXJoinMatchesSerial(q, materialized);
 }
 
 TEST(ShardedXJoinTest, AdversarialAgmTightWorkload) {

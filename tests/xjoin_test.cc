@@ -84,6 +84,52 @@ TEST(XJoinTest, RejectingPathGoldenRecordsMatchReference) {
   }
 }
 
+// The XJoin-level golden records of batch_test hold the brute-force
+// reference's answer under both path modes: the lazy records and their
+// "/materialized" twins share the reference's digest and row count.
+TEST(XJoinTest, PathModeGoldenRecordsMatchReference) {
+  auto expect = [](const std::string& name, const MultiModelQuery& query) {
+    auto plan = PrepareXJoin(query, XJoinOptions{});
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const std::vector<std::string>& columns =
+        query.output_attributes.empty() ? (*plan)->order
+                                        : query.output_attributes;
+    auto reference = Project(ReferenceAnswer(query), columns);
+    ASSERT_TRUE(reference.ok());
+    reference->SortAndDedup();
+    for (const std::string& variant : {name, name + "/materialized"}) {
+      for (const char* threads : {"/t1", "/t4"}) {
+        auto it = testing::GoldenFixtures().find(variant + threads);
+        ASSERT_NE(it, testing::GoldenFixtures().end()) << variant << threads;
+        EXPECT_EQ(it->second.at("digest"), testing::ResultDigest(*reference))
+            << variant << threads;
+        EXPECT_EQ(it->second.at("rows"),
+                  std::to_string(reference->num_rows()))
+            << variant << threads;
+      }
+    }
+  };
+  for (PaperSchema schema :
+       {PaperSchema::kExample33, PaperSchema::kExample34}) {
+    for (PaperDataMode mode :
+         {PaperDataMode::kAdversarial, PaperDataMode::kRandom}) {
+      PaperInstance inst = MakePaperInstance(5, schema, mode);
+      std::string name = "xjoin/paper";
+      name += schema == PaperSchema::kExample33 ? "33" : "34";
+      name += mode == PaperDataMode::kAdversarial ? "/adversarial" : "/random";
+      expect(name, inst.Query());
+    }
+  }
+  XMarkOptions opts;
+  opts.num_items = 40;
+  opts.num_persons = 25;
+  opts.num_open_auctions = 30;
+  opts.num_closed_auctions = 25;
+  XMarkInstance inst = MakeXMark(opts);
+  expect("xjoin/xmark/closed", inst.ClosedAuctionQuery());
+  expect("xjoin/xmark/open", inst.OpenAuctionQuery());
+}
+
 TEST(XJoinTest, Figure1BookstoreExample) {
   // The exact Figure 1 data.
   auto doc = ParseXml(R"(
@@ -164,10 +210,10 @@ TEST(XJoinTest, MaterializedPathsGiveSameAnswer) {
   PaperInstance inst = MakePaperInstance(4, PaperSchema::kExample34,
                                          PaperDataMode::kAdversarial);
   MultiModelQuery q = inst.Query();
-  auto lazy = ExecuteXJoin(q);
-  XJoinOptions mat_opts;
-  mat_opts.materialize_paths = true;
-  auto mat = ExecuteXJoin(q, mat_opts);
+  XJoinOptions lazy_opts;
+  lazy_opts.materialize_paths = false;
+  auto lazy = ExecuteXJoin(q, lazy_opts);
+  auto mat = ExecuteXJoin(q);
   ASSERT_TRUE(lazy.ok() && mat.ok());
   EXPECT_TRUE(RelationsEqualAsSets(*lazy, *mat));
 }
