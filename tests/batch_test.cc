@@ -398,10 +398,10 @@ TEST(GoldenGenericJoinTest, AgmTightTriangle) {
 // The paper's lazy path tries (materialize_paths = false) run on the
 // virtual policy; the default materialized path tries turn every input
 // into a CSR trie, so the raw policy runs end to end. The two record
-// the same digest and rows, but not the same binding and seek counts:
-// a lazy trie keeps prefixes with no full-depth chain below them
-// (docs/ARCHITECTURE.md, "Trie iterator contract"), a materialized one
-// drops them.
+// the same digest and rows, but not always the same binding and seek
+// counts: a lazy trie keeps prefixes with no full-depth chain below
+// them (docs/ARCHITECTURE.md, "The TrieIterator contract"), a
+// materialized one drops them.
 XJoinOptions LazyPaths() {
   XJoinOptions lazy;
   lazy.materialize_paths = false;
