@@ -456,9 +456,11 @@ class Engine {
     explicit RawCursors(Engine* engine)
         : engine_(engine), kernel_(engine->kernel_) {}
 
-    // Binds the policy when every input is a plain delta-free CSR trie;
-    // false (a lazy path trie or a pending delta side-file anywhere)
-    // sends the run down the virtual policy.
+    // Binds the policy when every input's cursor exposes RawTrieSpans
+    // (a plain delta-free CSR trie); false (a lazy path trie or a
+    // pending delta side-file anywhere) sends the run down the virtual
+    // policy. EXPLAIN's `cursors:` line asks the same question of each
+    // input (VirtualCursorReasons in core/plan.cc).
     bool Attach() {
       const std::vector<JoinInput>& inputs = engine_->inputs_;
       inputs_.resize(inputs.size());

@@ -52,17 +52,21 @@ std::vector<PlannedInput> CollectInputs(const XJoinPlan& plan) {
 }
 
 // Why GenericJoin will run the plan on the virtual cursor policy: one
-// entry per input that is not a delta-free CSR trie (a lazy path, or a
-// relation trie with a pending delta side-file). Empty = raw CSR
-// cursors end to end (every input exposes RawTrieSpans).
+// entry per input whose cursor declines RawTrieSpans, the executor's
+// own test (RawCursors::Attach): a lazy path, or a relation trie with
+// a pending delta side-file. Empty = raw CSR cursors end to end.
 std::vector<std::string> VirtualCursorReasons(const XJoinPlan& plan) {
   std::vector<std::string> reasons;
+  RawTrieView view;
   for (const auto& in : CollectInputs(plan)) {
-    if (*in.trie == nullptr) {
-      reasons.push_back("lazy path " + *in.name);
-    } else if ((*in.trie)->has_delta()) {
-      reasons.push_back("pending delta on " + *in.name);
-    }
+    const std::shared_ptr<const RelationTrie>& trie = *in.trie;
+    // The cursor ExecutePlan opens over this input.
+    std::unique_ptr<TrieIterator> cursor =
+        trie == nullptr ? in.path->NewLazyIterator() : trie->NewIterator();
+    if (cursor->RawTrieSpans(&view)) continue;
+    // A RelationTrie cursor declines only while a delta is pending.
+    reasons.push_back((trie == nullptr ? "lazy path " : "pending delta on ") +
+                      *in.name);
   }
   return reasons;
 }

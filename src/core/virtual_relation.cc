@@ -28,20 +28,6 @@ std::unique_ptr<TrieIterator> PathRelation::NewLazyIterator() const {
 }
 
 Result<Relation> PathRelation::Materialize() const {
-  XJ_ASSIGN_OR_RETURN(Relation out, EnumerateChains());
-  out.SortAndDedup();
-  return out;
-}
-
-Result<RelationTrie> PathRelation::BuildTrie(
-    const TrieBuildOptions& options) const {
-  // Build radix-sorts and folds duplicate rows itself, so the chains go
-  // in unsorted.
-  XJ_ASSIGN_OR_RETURN(Relation chains, EnumerateChains());
-  return RelationTrie::Build(chains, attributes_, options);
-}
-
-Result<Relation> PathRelation::EnumerateChains() const {
   XJ_ASSIGN_OR_RETURN(Schema schema, Schema::Make(attributes_));
   Relation out(std::move(schema));
   const XmlDocument& doc = index_->doc();
@@ -78,7 +64,14 @@ Result<Relation> PathRelation::EnumerateChains() const {
     }
     stack.push_back({std::move(children), 0});
   }
+  out.SortAndDedup();
   return out;
+}
+
+Result<RelationTrie> PathRelation::BuildTrie(
+    const TrieBuildOptions& options) const {
+  XJ_ASSIGN_OR_RETURN(Relation rows, Materialize());
+  return RelationTrie::Build(rows, attributes_, options);
 }
 
 int64_t PathRelation::CountChains() const {

@@ -64,9 +64,6 @@ class PathRelation {
  private:
   PathRelation() = default;
 
-  // One row per P-C chain: unsorted, duplicate value tuples kept.
-  Result<Relation> EnumerateChains() const;
-
   std::vector<std::string> attributes_;
   std::vector<int32_t> tags_;
   const NodeIndex* index_ = nullptr;
